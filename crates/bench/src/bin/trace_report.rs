@@ -172,15 +172,16 @@ fn main() {
     let result = trace_timeline(&spec);
 
     println!(
-        "{:>6} {:>11} {:>12} {:>11} {:>11} {:>14}",
-        "cycle", "forecast", "compute", "comm", "gather", "critical path"
+        "{:>6} {:>11} {:>11} {:>12} {:>11} {:>11} {:>14}",
+        "cycle", "forecast", "fc gather", "compute", "comm", "gather", "critical path"
     );
     for b in &result.breakdown {
         let slowest = b.compute_secs.iter().cloned().fold(0.0, f64::max);
         println!(
-            "{:>6} {:>10.4}s {:>11.4}s {:>10.4}s {:>10.4}s {:>13.4}s",
+            "{:>6} {:>10.4}s {:>10.4}s {:>11.4}s {:>10.4}s {:>10.4}s {:>13.4}s",
             b.cycle,
-            b.forecast_secs,
+            b.forecast_secs.iter().cloned().fold(0.0, f64::max),
+            b.forecast_gather_comm_secs,
             slowest,
             b.analysis_comm_secs,
             b.gather_comm_secs,
@@ -189,8 +190,11 @@ fn main() {
     }
     let total_compute: f64 =
         result.breakdown.iter().flat_map(|b| b.compute_secs.iter()).sum();
-    let total_comm: f64 =
-        result.breakdown.iter().map(|b| b.analysis_comm_secs + b.gather_comm_secs).sum();
+    let total_comm: f64 = result
+        .breakdown
+        .iter()
+        .map(|b| b.forecast_gather_comm_secs + b.analysis_comm_secs + b.gather_comm_secs)
+        .sum();
     let frac = total_comm / (total_comm + total_compute).max(f64::MIN_POSITIVE);
     println!(
         "\ntotals: {:.4}s compute (all ranks), {:.4}s modeled comm ({:.1}% of the sum)",

@@ -164,11 +164,12 @@ impl CommSpec {
     }
 }
 
-/// Per-rank accounting of the analysis collectives.
+/// Per-rank accounting of the modeled collectives.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CommStats {
-    /// Collectives executed (one allgather per SDE step plus one block
-    /// gather per analysis).
+    /// Collectives executed (a cycling driver runs, per cycle, one
+    /// forecast gather, one allgather per SDE step and one analysis block
+    /// gather).
     pub collectives: u64,
     /// Total attempts across all modeled collectives (equals
     /// `collectives` when no fault was scripted).

@@ -1,10 +1,12 @@
 //! Distributed OSSE cycling: forecast → observe → analyze over ranks.
 //!
 //! The execution shape of the paper's Frontier campaigns (§IV) on the
-//! simulated communicator. Forecasts are **replicated**: the SQG step is a
-//! deterministic spectral integration, so every rank advances the same full
-//! ensemble and lands on identical bits — replication costs no
-//! communication and keeps the forecast model unmodified. The analysis is
+//! simulated communicator, parallel along the ensemble for the forecast
+//! and along the state for the analysis. Each rank **forecasts a
+//! contiguous block of members** ([`forecast_members`]) and one allgather
+//! rebuilds the full forecast ensemble on every rank; the SQG step is a
+//! deterministic spectral integration of one member, so the gathered
+//! ensemble is bitwise the same for any rank count. The analysis is
 //! **sharded** along the state dimension ([`dist_analyze`]); afterwards one
 //! allgather reassembles the analysis blocks into the replicated full
 //! ensemble for the next forecast (the scatter is implicit: each rank reads
@@ -19,6 +21,7 @@ use da_core::osse::{
     initial_ensemble, nature_run, CycleSeries, NatureRun, ObsOperatorKind, OsseConfig,
 };
 use da_core::{ForecastModel, SqgForecast};
+use ensf::parallel::RankPlan;
 use ensf::EnsfConfig;
 use hpc::mpi::{run_world, Comm};
 use hpc::Collective;
@@ -75,6 +78,53 @@ pub fn dist_obs_for(osse: &OsseConfig) -> DistObs {
         ObsOperatorKind::Identity => DistObs::Identity { sigma: osse.obs_sigma },
         ObsOperatorKind::Arctan { gain } => DistObs::Arctan { sigma: osse.obs_sigma, gain },
     }
+}
+
+/// Forecasts this rank's block of members, then allgathers the blocks so
+/// every rank holds the full forecast ensemble.
+///
+/// Group position `r` of `comm.size()` takes block `r` of
+/// [`RankPlan::new`]`(members, size)` (earlier ranks take the extra member;
+/// ranks beyond the member count take none) and advances it with one
+/// [`ForecastModel::forecast`] call per member on the calling thread. The
+/// partition comes from the communicator at every call, so a shrunken or
+/// re-expanded group re-partitions by itself. The gather is priced as one
+/// [`Collective::AllGather`] of the whole ensemble.
+///
+/// The gathered ensemble is the same for every rank count only if
+/// `model.forecast` is a function of the member alone, as for the perfect
+/// [`SqgForecast`]. A model carrying state across calls, such as
+/// [`SqgForecast::imperfect`] with its model-error random stream, would
+/// advance that state per rank block (and again when an elastic caller
+/// redoes the forecast), so its bits would depend on the rank count.
+///
+/// # Errors
+/// [`DistError::Collective`] when the priced gather exhausts its retry
+/// budget, [`DistError::Mpi`] when a peer is dead or the epoch revoked. On
+/// error `ensemble` still holds the prior, so the caller may shrink the
+/// group and call again.
+pub fn forecast_members<M: ForecastModel + ?Sized>(
+    comm: &Comm,
+    model: &mut M,
+    ensemble: &mut Ensemble,
+    hours: f64,
+    spec: Option<&CommSpec>,
+    stats: &mut CommStats,
+) -> Result<(), DistError> {
+    let dim = ensemble.dim();
+    let plan = RankPlan::new(ensemble.members(), comm.size());
+    let (lo, hi) = plan.blocks[comm.rank()];
+    let mut block = ensemble.as_slice()[lo * dim..hi * dim].to_vec();
+    for state in block.chunks_exact_mut(dim) {
+        model.forecast(state, hours);
+    }
+    let bytes = (ensemble.as_slice().len() * 8) as u64;
+    model_collective(spec, stats, Collective::AllGather, comm.size(), bytes)?;
+    let blocks = comm.try_allgather(&block)?;
+    for (&(lo, hi), block) in plan.blocks.iter().zip(&blocks) {
+        ensemble.as_mut_slice()[lo * dim..hi * dim].copy_from_slice(block);
+    }
+    Ok(())
 }
 
 /// Result of one distributed experiment (identical on every rank).
@@ -147,10 +197,16 @@ pub fn run_dist_experiment(
 
     for cycle in 0..config.osse.cycles {
         let _span = telemetry::span!("dist.cycle");
-        // Replicated forecast: deterministic, so every rank stays bitwise
-        // in lockstep without exchanging state.
+        // Member-block forecast plus the gather that re-replicates it.
         let t_fc = telemetry::enabled().then(std::time::Instant::now);
-        model.forecast_ensemble(&mut ensemble, config.osse.obs_interval_hours);
+        forecast_members(
+            comm,
+            &mut model,
+            &mut ensemble,
+            config.osse.obs_interval_hours,
+            spec,
+            &mut stats,
+        )?;
         let forecast_secs = t_fc.map(|t| t.elapsed().as_secs_f64());
 
         // Forecast half of the per-cycle diagnostics, computed on rank 0
@@ -311,16 +367,21 @@ mod tests {
 
     #[test]
     fn cycling_is_bitwise_identical_across_rank_counts() {
-        let config = tiny_config(2);
-        let one = run_osse(&config, 1).unwrap();
-        for ranks in [2, 4] {
-            let many = run_osse(&config, ranks).unwrap();
-            for (c, (a, b)) in one.cycle_means.iter().zip(&many.cycle_means).enumerate() {
-                let bits_a: Vec<u64> = a.iter().map(|v| v.to_bits()).collect();
-                let bits_b: Vec<u64> = b.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(bits_a, bits_b, "cycle {c} diverged at {ranks} ranks");
+        // 8 members forecast as 3/3/2 on 3 ranks; 3 members on 4 ranks
+        // leave the last rank an empty block for the forecast gather.
+        for (members, rank_counts) in [(8, &[2, 3, 4][..]), (3, &[4][..])] {
+            let mut config = tiny_config(2);
+            config.osse.ens_size = members;
+            let one = run_osse(&config, 1).unwrap();
+            for &ranks in rank_counts {
+                let many = run_osse(&config, ranks).unwrap();
+                for (c, (a, b)) in one.cycle_means.iter().zip(&many.cycle_means).enumerate() {
+                    let bits_a: Vec<u64> = a.iter().map(|v| v.to_bits()).collect();
+                    let bits_b: Vec<u64> = b.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(bits_a, bits_b, "cycle {c} diverged: {members} members, {ranks} ranks");
+                }
+                assert_eq!(one.ensemble.as_slice(), many.ensemble.as_slice());
             }
-            assert_eq!(one.ensemble.as_slice(), many.ensemble.as_slice());
         }
     }
 
@@ -381,8 +442,9 @@ mod tests {
         let mut config = tiny_config(1);
         config.comm = Some(CommSpec::clean(2));
         let result = run_osse(&config, 2).unwrap();
-        // One allgather per SDE step plus one block gather per cycle.
-        assert_eq!(result.stats.collectives, config.ensf.n_steps as u64 + 1);
+        // Per cycle: the forecast gather of the member blocks, one
+        // allgather per SDE step, and the analysis block gather.
+        assert_eq!(result.stats.collectives, config.ensf.n_steps as u64 + 2);
         assert!(result.stats.modeled_comm_secs > 0.0);
     }
 

@@ -1,6 +1,6 @@
 //! Elastic rank-failure recovery and deadline-aware degraded analysis.
 //!
-//! The fault-surviving variant of [`crate::cycle`]: the same replicated
+//! The fault-surviving variant of [`crate::cycle`]: the same member-block
 //! forecast / sharded analysis loop, but wired to the live fault machinery
 //! of [`hpc::mpi`] instead of the pure retry model. A rank killed by a
 //! [`FaultPlan`] surfaces as [`hpc::MpiError::RankDead`] inside the first
@@ -17,6 +17,12 @@
 //!    the shrunken group. Because the sharded analysis is bitwise
 //!    rank-count-invariant, the redone cycle (and every later one) is
 //!    bitwise identical to a fresh run at the surviving rank count.
+//!
+//! The forecast's member blocks are cut from the group size at every
+//! cycle, so a shrunken or re-expanded group re-partitions them by itself.
+//! A peer found dead at the forecast gather (it died in a forecast-only
+//! cycle, or a rejoiner failed its restore) is shrunk away the same way
+//! and the forecast redone on the survivors from the unchanged prior.
 //!
 //! Dead ranks can **rejoin**: at the scripted cycle the coordinator
 //! (lowest surviving world rank) revives the rank, sends it an
@@ -36,12 +42,12 @@
 //! the degraded trajectory remains bitwise reproducible.
 
 use crate::analysis::{model_collective, CommStats, DistObs};
-use crate::cycle::{dist_obs_for, DistCycleConfig};
+use crate::cycle::{dist_obs_for, forecast_members, DistCycleConfig};
 use crate::shard::ShardPlan;
 use crate::DistError;
 use da_core::osse::{initial_ensemble, nature_run, CycleSeries, NatureRun};
 use da_core::resilience::{Checkpoint, CheckpointConfig, FaultPlan, LoopState, RecoveryCounters};
-use da_core::{ForecastModel, SqgForecast};
+use da_core::SqgForecast;
 use ensf::{EnsfConfig, TimeGrid};
 use hpc::mpi::{run_world, Comm};
 use hpc::{collective_time, shard_step_compute_secs, Collective, MpiError, StragglerPlan};
@@ -94,7 +100,8 @@ pub struct ElasticCounters {
     pub shrinks: u64,
     /// Group re-expansions this rank participated in (or performed).
     pub rejoins: u64,
-    /// Analyses redone from the replicated forecast after a shrink.
+    /// Shrink-retries: analyses redone on the shrunken group, or forecasts
+    /// redone when the dead peer surfaced at the forecast gather.
     pub redone_analyses: u64,
     /// Cycles that ran the reduced-step analysis.
     pub degraded_cycles: u64,
@@ -524,8 +531,31 @@ pub fn run_elastic_from(
             }
         }
 
-        // --- Replicated forecast.
-        model.forecast_ensemble(&mut ensemble, config.base.osse.obs_interval_hours);
+        // --- Member-block forecast. A dead peer surfaces at its gather:
+        // survivors shrink and redo it; a victim due to die this cycle
+        // carries the error into the analysis loop, which kills it.
+        let my_kill = config.faults.rank_kill_at(cycle, me);
+        let mut lost_forecast = None;
+        let interval = config.base.osse.obs_interval_hours;
+        loop {
+            match forecast_members(comm, &mut model, &mut ensemble, interval, spec, &mut stats) {
+                Ok(()) => break,
+                Err(e @ DistError::Mpi(MpiError::RankDead { .. } | MpiError::Revoked))
+                    if my_kill.is_some() =>
+                {
+                    lost_forecast = Some(e);
+                    break;
+                }
+                Err(DistError::Mpi(MpiError::RankDead { .. })) => {
+                    comm.revoke();
+                    shrink(comm, config, cycle, &mut generation, &mut counters, &mut events, lead);
+                }
+                Err(DistError::Mpi(MpiError::Revoked)) => {
+                    shrink(comm, config, cycle, &mut generation, &mut counters, &mut events, lead);
+                }
+                Err(e) => return Err(e),
+            }
+        }
         let y = &nature.observations[cycle];
         let pre_diag = lead.then(|| {
             da_core::diagnostics::forecast_stats_masked(
@@ -538,7 +568,6 @@ pub fn run_elastic_from(
             )
         });
 
-        let my_kill = config.faults.rank_kill_at(cycle, me);
         let mut modeled_secs = 0.0;
         let mut mode;
 
@@ -583,18 +612,21 @@ pub fn run_elastic_from(
             modeled_secs += slow * modeled_analysis_secs(&config.base, dim, members, steps, group.len());
             let ensf_cfg = EnsfConfig { n_steps: steps, ..config.base.ensf.clone() };
             let plan = ShardPlan::new(dim, config.base.tile, comm.size());
-            let attempt = elastic_analyze(
-                comm,
-                &plan,
-                &ensf_cfg,
-                cycle as u64,
-                &ensemble,
-                y,
-                &obs,
-                spec,
-                &mut stats,
-                my_kill.map(|k| k.after_steps),
-            );
+            let attempt = match lost_forecast.take() {
+                Some(e) => Err(e),
+                None => elastic_analyze(
+                    comm,
+                    &plan,
+                    &ensf_cfg,
+                    cycle as u64,
+                    &ensemble,
+                    y,
+                    &obs,
+                    spec,
+                    &mut stats,
+                    my_kill.map(|k| k.after_steps),
+                ),
+            };
             // A scheduled victim that observes the epoch collapsing (a
             // same-cycle peer died first and the survivors excluded it)
             // simply dies now instead of retrying.
@@ -1097,6 +1129,27 @@ mod tests {
         assert_eq!(result.counters.forecast_only_cycles, 2);
         assert_eq!(result.deadline_hits, 0);
         assert_eq!(result.deadline_total, 2);
+    }
+
+    #[test]
+    fn death_in_forecast_only_cycle_is_shrunk_at_next_forecast_gather() {
+        // Every cycle is forecast-only, so the rank killed in cycle 1 misses
+        // no analysis collective: the survivors meet it dead at cycle 2's
+        // forecast gather, shrink, and redo that forecast on two ranks.
+        let mut config = tiny_config(3);
+        config.base.comm = Some(crate::CommSpec::clean(3));
+        let dim = config.base.osse.params.state_dim();
+        let degraded = modeled_analysis_secs(&config.base, dim, 8, 3, 3);
+        config.deadline =
+            Some(DeadlinePolicy { budget_secs: degraded * 1e-3, degraded_steps: 3 });
+        let clean = run_elastic_osse(&config, 3).unwrap();
+        config.faults.rank_kills.push(RankKill { cycle: 1, rank: 2, after_steps: 0 });
+        let faulted = run_elastic_osse(&config, 3).unwrap();
+        assert_eq!(faulted.outcome, ElasticOutcome::Completed);
+        assert_eq!(faulted.counters.shrinks, 1);
+        assert_eq!(faulted.counters.forecast_only_cycles, 3);
+        assert_eq!(faulted.group_sizes, vec![(0, 3), (1, 3), (2, 2)]);
+        assert_eq!(faulted.cycle_means, clean.cycle_means);
     }
 
     #[test]

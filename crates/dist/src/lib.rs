@@ -3,15 +3,17 @@
 //! The paper runs its EnSF+SQG cycling experiments across thousands of
 //! Frontier GCDs (§IV). This crate reproduces that execution shape on the
 //! workspace's simulated MPI communicator ([`hpc::mpi::Comm`]): a full
-//! forecast → observe → analyze OSSE loop in which the EnSF analysis is
-//! sharded **along the state dimension** — each rank owns a contiguous
-//! block of state components and only ever updates its block.
+//! forecast → observe → analyze OSSE loop in which the forecast is split
+//! **along the ensemble** — each rank advances a contiguous block of
+//! members and one allgather rebuilds the full forecast ensemble — and the
+//! EnSF analysis is sharded **along the state dimension** — each rank owns
+//! a contiguous block of state components and only ever updates its block.
 //!
 //! ## Determinism contract
 //!
 //! The headline property, enforced by `tests/dist_determinism.rs` at the
 //! workspace root: for a fixed configuration the entire 10-cycle experiment
-//! is **bitwise identical for any rank count**. Three ingredients:
+//! is **bitwise identical for any rank count**. Four ingredients:
 //!
 //! 1. **Tile-fixed reductions** ([`ShardPlan`]): every reduction over the
 //!    state dimension (the score-normalization statistics `‖z − α x_j‖²`
@@ -23,10 +25,19 @@
 //!    drawn from one stream per `(particle, tile)` pair, seeded from global
 //!    indices, with a fixed consumption order — whichever rank owns a tile
 //!    draws the same numbers.
-//! 3. **Replicated control flow**: forecasts, observation handling, softmax
-//!    weights and retry/shrink decisions ([`CommSpec`]) are evaluated
-//!    identically on every rank from identical inputs, so no rank ever
-//!    branches differently from its peers.
+//! 3. **Member-local forecasts**: each member's SQG integration is a
+//!    deterministic function of that member alone, so whichever rank
+//!    forecasts it produces the same bits; the member blocks are cut from
+//!    the group size each cycle ([`forecast_members`]), so elastic shrink
+//!    and rejoin re-partition them with no extra state. This needs a
+//!    stateless forecast: both drivers build the perfect
+//!    [`SqgForecast`](da_core::SqgForecast), whose `forecast` reads
+//!    nothing but the member. A stochastic model error would draw each
+//!    block from its own rank's stream and break rank-count invariance.
+//! 4. **Replicated control flow**: observation handling, softmax weights
+//!    and retry/shrink decisions ([`CommSpec`]) are evaluated identically on
+//!    every rank from identical inputs (the gathered forecast ensemble), so
+//!    no rank ever branches differently from its peers.
 //!
 //! Changing the *tile width* legitimately reassociates floating-point sums
 //! and changes low-order bits; changing the *rank count* never does.
@@ -37,7 +48,8 @@
 //! * [`analysis`] — the sharded EnSF analysis kernel and the collective
 //!   driver ([`dist_analyze`]).
 //! * [`cycle`] — the distributed OSSE cycling runtime
-//!   ([`run_dist_experiment`], [`run_osse`]).
+//!   ([`run_dist_experiment`], [`run_osse`]) and the member-block forecast
+//!   both drivers share ([`forecast_members`]).
 //! * [`elastic`] — the fault-surviving variant: ULFM-style shrink on rank
 //!   death, checkpoint-backed rejoin, and deadline-aware degraded analysis
 //!   ([`run_elastic_experiment`], [`run_elastic_osse`]).
@@ -58,7 +70,9 @@ pub mod timeline;
 
 pub use analysis::{dist_analyze, CommSpec, CommStats, DistObs, ShardKernel};
 pub use bench::{measure_analysis, ScalingMeasurement};
-pub use cycle::{dist_obs_for, run_dist_experiment, run_osse, DistCycleConfig, DistRunResult};
+pub use cycle::{
+    dist_obs_for, forecast_members, run_dist_experiment, run_osse, DistCycleConfig, DistRunResult,
+};
 pub use elastic::{
     modeled_analysis_secs, run_elastic_experiment, run_elastic_from, run_elastic_osse,
     run_elastic_osse_from, CycleMode, DeadlinePolicy, ElasticCounters, ElasticCycleConfig,

@@ -5,20 +5,22 @@
 //! same α–β comm pricing) over one or more cycles, but instead of folding
 //! the measurements into scalars it maintains a **simulated per-rank
 //! clock** and emits one [`telemetry::TraceEvent`] per phase — per-rank
-//! `forecast` / `tile_partials` / `apply_step` / `finish` compute boxes on
-//! each rank's lane, plus one `allgather` / `block_gather` comm box per
-//! collective on a dedicated comm lane (tid = `ranks`), carrying the byte
-//! count in its `args`.
+//! `forecast` (the rank's member block) / `tile_partials` / `apply_step` /
+//! `finish` compute boxes on each rank's lane, plus one `forecast_gather` /
+//! `allgather` / `block_gather` comm box per collective on a dedicated comm
+//! lane (tid = `ranks`), carrying the byte count in its `args`.
 //!
 //! Because the comm durations come from the same pure α–β model the
-//! scaling suite uses, the per-cycle comm totals in [`CycleBreakdown`]
-//! reconcile **exactly** with `BENCH_scaling.json`'s `modeled_comm_secs`
-//! for the same `(dim, tile, members, n_steps, ranks)` shape — the
-//! `trace_report` bin asserts this.
+//! scaling suite uses, the per-cycle analysis comm totals in
+//! [`CycleBreakdown`] reconcile **exactly** with `BENCH_scaling.json`'s
+//! `modeled_comm_secs` for the same `(dim, tile, members, n_steps, ranks)`
+//! shape — the `trace_report` bin asserts this. The forecast and block
+//! gathers are kept in their own fields for that reason.
 
 use crate::analysis::{CommSpec, DistObs, ShardKernel};
 use crate::shard::ShardPlan;
 use da_core::{ForecastModel, SqgForecast};
+use ensf::parallel::RankPlan;
 use ensf::{EnsfConfig, TimeGrid};
 use hpc::{collective_with_retry, Collective};
 use sqg::SqgParams;
@@ -56,9 +58,12 @@ pub struct TimelineSpec {
 pub struct CycleBreakdown {
     /// Zero-based cycle index.
     pub cycle: usize,
-    /// Replicated forecast seconds (identical on every rank; `0.0` when
-    /// the forecast phase is disabled).
-    pub forecast_secs: f64,
+    /// Measured member-block forecast seconds per rank (zeros when the
+    /// forecast phase is disabled).
+    pub forecast_secs: Vec<f64>,
+    /// Modeled seconds of the gather that rebuilds the forecast ensemble
+    /// on every rank (zero for a single rank or without a forecast).
+    pub forecast_gather_comm_secs: f64,
     /// Measured analysis compute seconds per rank.
     pub compute_secs: Vec<f64>,
     /// Modeled per-step allgather seconds (zero for a single rank). This
@@ -84,7 +89,11 @@ impl CycleBreakdown {
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("cycle", Json::from(self.cycle)),
-            ("forecast_secs", Json::Num(self.forecast_secs)),
+            (
+                "forecast_secs",
+                Json::Arr(self.forecast_secs.iter().map(|&s| Json::Num(s)).collect()),
+            ),
+            ("forecast_gather_comm_secs", Json::Num(self.forecast_gather_comm_secs)),
             (
                 "compute_secs",
                 Json::Arr(self.compute_secs.iter().map(|&s| Json::Num(s)).collect()),
@@ -145,6 +154,14 @@ fn comm_event(
     }
 }
 
+/// Modeled seconds of one allgather of `bytes` over `ranks` ranks on the
+/// clean network `comm`.
+fn gather_secs(comm: &CommSpec, ranks: usize, bytes: u64) -> f64 {
+    let r = collective_with_retry(&comm.topo, Collective::AllGather, ranks, bytes, &comm.faults, &comm.policy);
+    // INVARIANT: a clean spec cannot exhaust the retry budget.
+    r.expect("clean collective cannot fail").time
+}
+
 /// Runs a traced distributed experiment and returns its event stream.
 ///
 /// The numerics are the production sharded-analysis path (the same
@@ -182,17 +199,36 @@ pub fn trace_timeline(spec: &TimelineSpec) -> TimelineResult {
     for cycle in 0..spec.cycles {
         let cycle_start = clocks[0];
 
-        // Replicated forecast: every rank does identical work, so one
-        // measurement stamps every lane.
-        let mut forecast_secs = 0.0;
+        // Member-block forecast: each rank times its own block, then the
+        // gather that re-replicates the ensemble synchronizes the lanes.
+        let gather_bytes = (spec.members * spec.dim * 8) as u64;
+        let mut forecast_secs = vec![0.0f64; spec.ranks];
+        let mut forecast_gather_comm_secs = 0.0;
         if let Some(model) = model.as_mut() {
-            let t0 = Instant::now();
-            model.forecast_ensemble(&mut ensemble, spec.forecast_hours);
-            forecast_secs = t0.elapsed().as_secs_f64();
-            for (r, clock) in clocks.iter_mut().enumerate() {
-                events.push(compute_event("forecast", r, *clock, forecast_secs, cycle));
-                *clock += forecast_secs;
+            let blocks = RankPlan::new(spec.members, spec.ranks).blocks;
+            for (r, &(lo, hi)) in blocks.iter().enumerate() {
+                let t0 = Instant::now();
+                for m in lo..hi {
+                    model.forecast(ensemble.member_mut(m), spec.forecast_hours);
+                }
+                let dur = t0.elapsed().as_secs_f64();
+                events.push(compute_event("forecast", r, clocks[r], dur, cycle));
+                clocks[r] += dur;
+                forecast_secs[r] = dur;
             }
+            let sync = clocks.iter().cloned().fold(0.0, f64::max);
+            if spec.ranks > 1 {
+                forecast_gather_comm_secs = gather_secs(&comm, spec.ranks, gather_bytes);
+                events.push(comm_event(
+                    "forecast_gather",
+                    comm_lane,
+                    sync,
+                    forecast_gather_comm_secs,
+                    cycle,
+                    gather_bytes,
+                ));
+            }
+            clocks.fill(sync + forecast_gather_comm_secs);
         }
 
         let mut kernels: Vec<ShardKernel> = (0..spec.ranks)
@@ -225,19 +261,10 @@ pub fn trace_timeline(spec: &TimelineSpec) -> TimelineResult {
             analysis_collectives += 1;
             let sync = clocks.iter().cloned().fold(0.0, f64::max);
             if spec.ranks > 1 {
-                // INVARIANT: a clean spec cannot exhaust the retry budget.
-                let r = collective_with_retry(
-                    &comm.topo,
-                    Collective::AllGather,
-                    spec.ranks,
-                    step_bytes,
-                    &comm.faults,
-                    &comm.policy,
-                )
-                .expect("clean collective cannot fail");
-                events.push(comm_event("allgather", comm_lane, sync, r.time, cycle, step_bytes));
-                analysis_comm_secs += r.time;
-                clocks.fill(sync + r.time);
+                let secs = gather_secs(&comm, spec.ranks, step_bytes);
+                events.push(comm_event("allgather", comm_lane, sync, secs, cycle, step_bytes));
+                analysis_comm_secs += secs;
+                clocks.fill(sync + secs);
             } else {
                 clocks.fill(sync);
             }
@@ -269,28 +296,25 @@ pub fn trace_timeline(spec: &TimelineSpec) -> TimelineResult {
         }
 
         // Block gather of the full analysis ensemble.
-        let gather_bytes = (spec.members * spec.dim * 8) as u64;
         let sync = clocks.iter().cloned().fold(0.0, f64::max);
         let mut gather_comm_secs = 0.0;
         if spec.ranks > 1 {
-            // INVARIANT: a clean spec cannot exhaust the retry budget.
-            let r = collective_with_retry(
-                &comm.topo,
-                Collective::AllGather,
-                spec.ranks,
+            gather_comm_secs = gather_secs(&comm, spec.ranks, gather_bytes);
+            events.push(comm_event(
+                "block_gather",
+                comm_lane,
+                sync,
+                gather_comm_secs,
+                cycle,
                 gather_bytes,
-                &comm.faults,
-                &comm.policy,
-            )
-            .expect("clean collective cannot fail");
-            events.push(comm_event("block_gather", comm_lane, sync, r.time, cycle, gather_bytes));
-            gather_comm_secs = r.time;
+            ));
         }
         clocks.fill(sync + gather_comm_secs);
 
         breakdown.push(CycleBreakdown {
             cycle,
             forecast_secs,
+            forecast_gather_comm_secs,
             compute_secs,
             analysis_comm_secs,
             gather_comm_secs,
@@ -381,6 +405,16 @@ mod tests {
         let t = trace_timeline(&s);
         let forecasts: Vec<_> = t.events.iter().filter(|e| e.name == "forecast").collect();
         assert_eq!(forecasts.len(), 2, "one forecast box per rank lane");
-        assert!(t.breakdown[0].forecast_secs > 0.0);
+        let b = &t.breakdown[0];
+        assert!(b.forecast_secs.iter().all(|&s| s > 0.0), "each rank forecasts 2 members");
+        // The forecast gather is its own comm box, outside the analysis
+        // comm that reconciles with the scaling suite.
+        let gathers: Vec<_> = t.events.iter().filter(|e| e.name == "forecast_gather").collect();
+        assert_eq!(gathers.len(), 1);
+        assert_eq!(gathers[0].dur_us, b.forecast_gather_comm_secs * US);
+        assert!(b.forecast_gather_comm_secs > 0.0);
+        let step_comm: f64 =
+            t.events.iter().filter(|e| e.name == "allgather").map(|e| e.dur_us / US).sum();
+        assert!((b.analysis_comm_secs - step_comm).abs() < 1e-12);
     }
 }

@@ -7,7 +7,9 @@ use crate::state::SqgState;
 
 /// The SQG forecast model: owns the stepper (FFT plans + scratch) and
 /// advances grid-space state vectors, which is the representation the DA
-/// filters exchange.
+/// filters exchange. A clone integrates bit for bit like the original and
+/// can run on another thread (it shares only the immutable FFT plans).
+#[derive(Clone)]
 pub struct SqgModel {
     stepper: Stepper,
 }
@@ -37,9 +39,7 @@ impl SqgModel {
 
     /// Advances a flat grid-space state vector by `steps` model steps.
     ///
-    /// Convenience wrapper for DA: converts to spectral space, integrates,
-    /// converts back. For member loops prefer doing the conversion once if
-    /// profiling shows it matters (it is ~2 extra FFT pairs per call).
+    /// Converts to spectral space, integrates, converts back.
     pub fn forecast(&mut self, state: &mut [f64], steps: usize) {
         let n = self.stepper.params.n;
         let mut spec = SqgState::from_state_vector(n, state);

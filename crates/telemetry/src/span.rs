@@ -3,7 +3,9 @@
 //! A [`SpanGuard`] measures wall-clock time from creation to drop and folds
 //! the measurement into a process-global registry keyed by the span's
 //! dotted path. Nesting is tracked per thread: opening `"analysis"` while
-//! `"osse.cycle"` is active records under `"osse.cycle.analysis"`.
+//! `"osse.cycle"` is active records under `"osse.cycle.analysis"`. A
+//! thread spawned for part of a span's work starts with an empty path;
+//! [`SpanParent`] carries the spawning thread's path over to it.
 //!
 //! The registry is sharded (path-hash → shard) so concurrent spans from
 //! rayon workers rarely contend on the same lock.
@@ -119,6 +121,44 @@ impl Drop for SpanGuard {
     }
 }
 
+/// The span path open on some thread, captured with [`span_parent`] to
+/// nest the spans of a worker thread under it.
+#[derive(Debug, Clone, Default)]
+pub struct SpanParent(Vec<&'static str>);
+
+/// Captures the calling thread's open span path (empty when telemetry is
+/// disabled, since then no span is pushed).
+pub fn span_parent() -> SpanParent {
+    SpanParent(SPAN_STACK.with(|stack| stack.borrow().clone()))
+}
+
+impl SpanParent {
+    /// Opens the captured path on the calling thread until the guard
+    /// drops, so spans opened meanwhile record under it. The path itself
+    /// records nothing: its time belongs to the thread that opened it.
+    pub fn adopt(&self) -> AdoptedParent {
+        let depth = SPAN_STACK.with(|stack| {
+            let mut stack = stack.borrow_mut();
+            let depth = stack.len();
+            stack.extend_from_slice(&self.0);
+            depth
+        });
+        AdoptedParent { depth }
+    }
+}
+
+/// Guard returned by [`SpanParent::adopt`]; closes the adopted path on drop.
+#[must_use = "the adopted path closes when the guard drops"]
+pub struct AdoptedParent {
+    depth: usize,
+}
+
+impl Drop for AdoptedParent {
+    fn drop(&mut self) {
+        SPAN_STACK.with(|stack| stack.borrow_mut().truncate(self.depth));
+    }
+}
+
 /// Snapshot of all recorded span statistics, sorted by path.
 pub fn span_snapshot() -> Vec<SpanStat> {
     let mut out = Vec::new();
@@ -166,6 +206,25 @@ mod tests {
         assert_eq!(inner.count, 3);
         assert!(outer.total_secs >= inner.total_secs, "parent covers children");
         assert!(inner.min_secs <= inner.max_secs);
+    }
+
+    #[test]
+    fn adopted_parent_nests_worker_spans() {
+        let _lock = crate::TEST_LOCK.lock();
+        crate::set_enabled(true);
+        reset_spans();
+        {
+            let _outer = crate::span!("outer");
+            let parent = span_parent();
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    let _adopted = parent.adopt();
+                    let _inner = crate::span!("worker");
+                });
+            });
+        }
+        let paths: Vec<String> = span_snapshot().into_iter().map(|s| s.path).collect();
+        assert_eq!(paths, ["outer", "outer.worker"]);
     }
 
     #[test]

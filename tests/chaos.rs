@@ -20,8 +20,10 @@ use sqg_da::letkf::LetkfConfig;
 use sqg_da::sqg::SqgParams;
 
 /// Serializes the tests that flip process-global telemetry state (enable
-/// flag, cycle records, flight ring, postmortem sink); the checkpoint
-/// tests run telemetry-dark and stay parallel.
+/// flag, cycle records, flight ring, postmortem sink) and the tests whose
+/// runs leave `Healthy`, since a state transition writes to the flight
+/// ring and dumps into whatever postmortem sink is set at that moment;
+/// the checkpoint tests run telemetry-dark and stay parallel.
 static TELEMETRY_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn chaos_config(cycles: usize, seed: u64) -> OsseConfig {
@@ -151,6 +153,7 @@ fn chaos_run_completes_and_beats_free_run() {
 /// cycle, and the run still completes every cycle and beats the free run.
 #[test]
 fn flow_matching_chaos_run_retries_and_falls_back() {
+    let _gate = TELEMETRY_GATE.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = chaos_config(12, 31);
     let nr = nature_run(&cfg);
     let dim = nr.truth[0].len();
