@@ -15,7 +15,7 @@
 
 use bench::{bar, header, Json};
 use da_core::osse::{nature_run, run_experiment, OsseConfig};
-use da_core::{EnsfScheme, FlowMatchingEnsfScheme, LetkfScheme, SqgForecast};
+use da_core::{EnsfScheme, LetkfScheme, SqgForecast};
 use sqg::SqgParams;
 use telemetry::CycleRecord;
 
@@ -139,8 +139,9 @@ fn main() {
     // EXPERIMENTS.md: under full RTPS the reduced-grid forecast spread
     // runs away and the deterministic path has no obs noise to hide it).
     let mut model_flow = SqgForecast::perfect(config.params.clone());
-    let mut flow = FlowMatchingEnsfScheme::new(
+    let mut flow = EnsfScheme::new(
         ensf::EnsfConfig {
+            method: ensf::AnalysisMethod::FlowMatching,
             n_steps: 6,
             seed: config.seed ^ 0xE45F,
             spread_relaxation: 0.25,

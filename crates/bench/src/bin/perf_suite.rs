@@ -22,10 +22,9 @@
 use bench::{header, Json};
 use da_core::osse::{initial_ensemble, nature_run, NatureRun, ObsOperatorKind, OsseConfig};
 use da_core::{
-    AnalysisScheme, ArctanEnsfScheme, EnsfScheme, FlowMatchingArctanEnsfScheme,
-    FlowMatchingEnsfScheme, ForecastModel, LetkfScheme, SqgForecast,
+    AnalysisScheme, EnsfScheme, ForecastModel, LetkfScheme, MaskFill, ObsModel, SqgForecast,
 };
-use ensf::{Ensf, EnsfConfig, IdentityObs, ScoreKernel};
+use ensf::{AnalysisMethod, Ensf, EnsfConfig, IdentityObs, ScoreKernel};
 use fft::{plan_cache, Complex, Direction, Fft2};
 use linalg::gemm::{matmul_abt_into, matmul_slices_into};
 use sqg::dynamics::Stepper;
@@ -298,20 +297,11 @@ fn sweep_scheme(
         seed: 5,
         spread_relaxation: 0.25,
         variance_smoothing: 1.0,
+        method: if flow { AnalysisMethod::FlowMatching } else { AnalysisMethod::ReverseSde },
         ..Default::default()
     };
-    match (operator, flow) {
-        (ObsOperatorKind::Identity, false) => Box::new(EnsfScheme::new(config, dim, obs_sigma)),
-        (ObsOperatorKind::Identity, true) => {
-            Box::new(FlowMatchingEnsfScheme::new(config, dim, obs_sigma))
-        }
-        (ObsOperatorKind::Arctan { gain }, false) => {
-            Box::new(ArctanEnsfScheme::new(config, dim, obs_sigma, gain))
-        }
-        (ObsOperatorKind::Arctan { gain }, true) => {
-            Box::new(FlowMatchingArctanEnsfScheme::new(config, dim, obs_sigma, gain))
-        }
-    }
+    let obs = ObsModel { operator, ..ObsModel::identity(obs_sigma) };
+    Box::new(EnsfScheme::with_obs(config, dim, obs, MaskFill::Inpaint))
 }
 
 /// Step-count-vs-RMSE sweep: few-step probability-flow ODE vs the reverse

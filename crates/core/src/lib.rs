@@ -6,7 +6,13 @@
 //! (EnSF, LETKF, or none), with:
 //!
 //! - [`osse`] — twin-experiment harness (nature run, synthetic observations
-//!   every 12 h, `h = I`, diagonal R),
+//!   every 12 h, `h = I`, diagonal R) and its observation model
+//!   [`ObsModel`]: error, operator [`ObsOperatorKind`] and mask
+//!   [`MaskKind`],
+//! - the analysis slot — one [`EnsfScheme`] (reverse SDE or probability
+//!   flow, per `EnsfConfig::method`; partial networks completed by a
+//!   [`MaskFill`]) and one [`LetkfScheme`], both over an [`ObsModel`], or
+//!   [`NoAssimilation`] for free runs,
 //! - [`ModelError`] — the 4-component stochastic model-error process of
 //!   §IV-A (20/15/10/5 % occurrence, 20/30/40/50 % amplitude),
 //! - [`VitSurrogate`] — offline pre-training plus the online fine-tuning
@@ -49,10 +55,6 @@ pub use forecast::SqgForecast;
 pub use lorenz96::{Lorenz96, Lorenz96Params};
 pub use model_error::{ModelError, ModelErrorConfig};
 pub use surrogate::VitSurrogate;
-pub use osse::{MaskKind, ObsOperatorKind};
+pub use osse::{MaskKind, ObsModel, ObsOperatorKind};
 pub use scenario::{run_scenario, standard_scenarios, ScenarioMethod, ScenarioResult, ScenarioSpec};
-pub use traits::{
-    AnalysisScheme, ArctanEnsfScheme, EnsfScheme, FlowMatchingArctanEnsfScheme,
-    FlowMatchingEnsfScheme, ForecastModel, LetkfScheme, MaskIgnoringEnsfScheme, MaskedEnsfScheme,
-    MaskedLetkfScheme, NoAssimilation, SparseEnsfScheme,
-};
+pub use traits::{AnalysisScheme, EnsfScheme, ForecastModel, LetkfScheme, MaskFill, NoAssimilation};

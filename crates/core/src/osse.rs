@@ -13,40 +13,7 @@ use stats::gaussian::standard_normal;
 use stats::rng::seeded;
 use stats::Ensemble;
 
-/// The observation operator `h` of the OSSE scenario, applied componentwise
-/// to the truth when observations are generated (and by schemes/guardrails
-/// when comparing states against observations).
-///
-/// `Identity` reproduces the paper's baseline `h = I` bit-for-bit;
-/// `Arctan` promotes the `nonlinear_obs` stress operator
-/// `h(x) = arctan(γ x)` (the EnSF papers' saturating nonlinearity) into
-/// the standard scenario configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum ObsOperatorKind {
-    /// Direct observation of every state component (`h = I`).
-    #[default]
-    Identity,
-    /// Componentwise saturating observation `h(x) = arctan(gain · x)`.
-    Arctan {
-        /// Saturation gain γ (> 0): larger values bite harder.
-        gain: f64,
-    },
-}
-
-impl ObsOperatorKind {
-    /// Applies `h` to one state component.
-    pub fn h(self, v: f64) -> f64 {
-        match self {
-            ObsOperatorKind::Identity => v,
-            ObsOperatorKind::Arctan { gain } => (gain * v).atan(),
-        }
-    }
-
-    /// Maps a full state into observation space.
-    pub fn apply(self, state: &[f64]) -> Vec<f64> {
-        state.iter().map(|&v| self.h(v)).collect()
-    }
-}
+pub use ensf::ObsOperatorKind;
 
 /// Which state components the observing network actually sees.
 ///
@@ -152,6 +119,28 @@ impl MaskKind {
     }
 }
 
+/// The observation model of an experiment: error std `sigma` (diagonal
+/// `R = σ² I`, in observation units), the componentwise operator `h`, and
+/// the mask selecting which components reach the filter. The nature run
+/// observes through it, and every analysis scheme — serial EnSF and LETKF,
+/// the sharded EnSF kernel — assimilates through the same value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ObsModel {
+    /// Observation error standard deviation.
+    pub sigma: f64,
+    /// Componentwise observation operator.
+    pub operator: ObsOperatorKind,
+    /// Which components the network observes (cycle-indexed).
+    pub mask: MaskKind,
+}
+
+impl ObsModel {
+    /// The paper's network: every component observed directly (`h = I`).
+    pub fn identity(sigma: f64) -> Self {
+        ObsModel { sigma, operator: ObsOperatorKind::Identity, mask: MaskKind::Full }
+    }
+}
+
 /// OSSE configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OsseConfig {
@@ -177,6 +166,13 @@ pub struct OsseConfig {
     pub spinup_steps: usize,
     /// Master seed.
     pub seed: u64,
+}
+
+impl OsseConfig {
+    /// The observation model the nature run observes through.
+    pub fn obs_model(&self) -> ObsModel {
+        ObsModel { sigma: self.obs_sigma, operator: self.obs_operator, mask: self.obs_mask }
+    }
 }
 
 impl Default for OsseConfig {

@@ -374,6 +374,7 @@ fn cycle_loop(
                 let forced_failures = plan.analysis_failures_at(cycle);
                 let mut produced = None;
                 for attempt in 0..=policy.max_analysis_retries {
+                    pin_epoch(scheme, cycle);
                     let mut candidate = scheme.analyze(&ensemble, y);
                     if attempt < forced_failures {
                         candidate.as_mut_slice().fill(f64::NAN);
@@ -394,6 +395,7 @@ fn cycle_loop(
                 }
                 if produced.is_none() {
                     if let Some(fb) = fallback.as_deref_mut() {
+                        pin_epoch(fb, cycle);
                         let candidate = fb.analyze(&ensemble, y);
                         if health::all_finite(&candidate) {
                             counters.analysis_fallbacks += 1;
@@ -609,6 +611,18 @@ fn cycle_loop(
     })
 }
 
+/// Pins `scheme`'s analysis epoch to the OSSE `cycle`, keeping its seed (a
+/// retry's reseed included). Schemes resolve cycle-indexed masks at their
+/// epoch, which counts `analyze` calls; a forecast-only cycle skips a call
+/// and a retry adds one, so without this a moving-track mask would pick
+/// the wrong grid points for the rest of the run.
+fn pin_epoch(scheme: &mut dyn AnalysisScheme, cycle: usize) {
+    let (epoch, seed) = scheme.rng_state();
+    if epoch != cycle as u64 {
+        scheme.set_rng_state(cycle as u64, seed);
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn make_checkpoint(
     cycle: usize,
@@ -819,19 +833,18 @@ mod tests {
     #[test]
     fn masked_network_survives_supervision_and_thinning() {
         use crate::osse::MaskKind;
-        use crate::traits::MaskedEnsfScheme;
+        use crate::traits::MaskFill;
         let mask = MaskKind::Block { start: 32, len: 32 };
         let cfg = OsseConfig { obs_mask: mask, ..tiny_config(4) };
         let nr = nature_run(&cfg);
         let dim = nr.truth[0].len();
         assert_eq!(nr.observations[0].len(), dim - 32, "obs vector shrinks to the mask");
         let mut model = SqgForecast::perfect(cfg.params.clone());
-        let mut scheme = MaskedEnsfScheme::new(
+        let mut scheme = EnsfScheme::with_obs(
             ensf::EnsfConfig { n_steps: 15, seed: cfg.seed ^ 0xE45F, ..Default::default() },
             dim,
-            cfg.obs_sigma,
-            cfg.obs_operator,
-            mask,
+            cfg.obs_model(),
+            MaskFill::Inpaint,
         );
         // Thin the already-masked batch at cycle 1: the guardrails (incl.
         // the masked obs-space divergence check) must keep the run finite.
@@ -988,5 +1001,79 @@ mod tests {
         // The run completes (possibly with a guardrail fired on the
         // information-starved cycle) rather than erroring out.
         assert!(!run.interrupted);
+    }
+
+    /// Records the epoch of every `analyze` call. Like the EnSF filter, it
+    /// advances its epoch once per call and restores it through
+    /// `set_rng_state`.
+    #[derive(Default)]
+    struct EpochProbe {
+        epoch: u64,
+        seen: Vec<u64>,
+    }
+
+    impl AnalysisScheme for EpochProbe {
+        fn name(&self) -> &str {
+            "probe"
+        }
+        fn analyze(&mut self, forecast: &Ensemble, _observation: &[f64]) -> Ensemble {
+            self.seen.push(self.epoch);
+            self.epoch += 1;
+            forecast.clone()
+        }
+        fn rng_state(&self) -> (u64, u64) {
+            (self.epoch, 7)
+        }
+        fn set_rng_state(&mut self, epoch: u64, _seed: u64) {
+            self.epoch = epoch;
+        }
+    }
+
+    #[test]
+    fn forecast_only_cycles_keep_the_scheme_epoch_on_the_osse_cycle() {
+        let cfg = tiny_config(4);
+        let nr = nature_run(&cfg);
+        let mut model = SqgForecast::perfect(cfg.params.clone());
+        let mut probe = EpochProbe::default();
+        let res = ResilienceConfig {
+            plan: FaultPlan { obs_faults: vec![(1, ObsFault::Drop)], ..FaultPlan::none() },
+            ..Default::default()
+        };
+        run_supervised("drop", &cfg, &res, &nr, &mut model, &mut probe, None).unwrap();
+        assert_eq!(probe.seen, vec![0, 2, 3], "cycle 1 was forecast-only");
+    }
+
+    #[test]
+    fn retries_and_fallbacks_run_at_the_osse_cycle_epoch() {
+        let cfg = tiny_config(4);
+        let nr = nature_run(&cfg);
+        let mut model = SqgForecast::perfect(cfg.params.clone());
+        let mut probe = EpochProbe::default();
+        let mut fallback = EpochProbe::default();
+        let res = ResilienceConfig {
+            plan: FaultPlan {
+                analysis_faults: vec![
+                    AnalysisFault { cycle: 1, failures: 1 },
+                    AnalysisFault { cycle: 2, failures: 9 },
+                ],
+                ..FaultPlan::none()
+            },
+            ..Default::default()
+        };
+        let run = run_supervised(
+            "retry",
+            &cfg,
+            &res,
+            &nr,
+            &mut model,
+            &mut probe,
+            Some(&mut fallback),
+        )
+        .unwrap();
+        assert_eq!(run.counters.analysis_retries, 3);
+        assert_eq!(run.counters.analysis_fallbacks, 1);
+        // One retry at cycle 1, the whole budget (3 attempts) at cycle 2.
+        assert_eq!(probe.seen, vec![0, 1, 1, 2, 2, 2, 3]);
+        assert_eq!(fallback.seen, vec![2], "the fallback runs at the cycle it rescues");
     }
 }

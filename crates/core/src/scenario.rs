@@ -12,9 +12,8 @@
 
 use crate::forecast::SqgForecast;
 use crate::osse::{initial_ensemble, nature_run, MaskKind, ObsOperatorKind, OsseConfig};
-use crate::traits::{
-    AnalysisScheme, ForecastModel, MaskIgnoringEnsfScheme, MaskedEnsfScheme, MaskedLetkfScheme,
-};
+use crate::traits::{AnalysisScheme, EnsfScheme, ForecastModel, LetkfScheme, MaskFill};
+use ensf::AnalysisMethod;
 
 /// One named observing-network scenario.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -138,6 +137,10 @@ fn split_rmse(mean: &[f64], truth: &[f64], observed: &[usize]) -> (f64, f64) {
 /// the steady-state observed/unobserved RMSE split and the cumulative
 /// analysis latency. `base` supplies the grid, cycle count, noise levels
 /// and seed; its `obs_operator`/`obs_mask` are overridden by the spec.
+///
+/// # Panics
+/// Panics for [`ScenarioMethod::MaskedLetkf`] on a spec whose operator is
+/// not the identity (LETKF observes through `h = I` only).
 pub fn run_scenario(
     base: &OsseConfig,
     spec: &ScenarioSpec,
@@ -152,36 +155,20 @@ pub fn run_scenario(
     let nature = nature_run(&config);
     let dim = nature.truth[0].len();
 
-    let mut scheme: Box<dyn AnalysisScheme> = match method {
-        ScenarioMethod::InpaintEnsf => Box::new(MaskedEnsfScheme::new(
-            ensf::EnsfConfig { method: ensf::AnalysisMethod::ReverseSde, ..ensf_config.clone() },
-            dim,
-            config.obs_sigma,
-            spec.operator,
-            spec.mask,
-        )),
-        ScenarioMethod::InpaintFlow => Box::new(MaskedEnsfScheme::new(
-            ensf::EnsfConfig {
-                method: ensf::AnalysisMethod::FlowMatching,
-                ..ensf_config.clone()
-            },
-            dim,
-            config.obs_sigma,
-            spec.operator,
-            spec.mask,
-        )),
-        ScenarioMethod::MaskIgnoringEnsf => Box::new(MaskIgnoringEnsfScheme::new(
-            ensf::EnsfConfig { method: ensf::AnalysisMethod::ReverseSde, ..ensf_config.clone() },
-            dim,
-            config.obs_sigma,
-            spec.operator,
-            spec.mask,
-        )),
-        ScenarioMethod::MaskedLetkf => Box::new(MaskedLetkfScheme::new(
+    let ensf_scheme = |method, fill| -> Box<dyn AnalysisScheme> {
+        let ensf_config = ensf::EnsfConfig { method, ..ensf_config.clone() };
+        Box::new(EnsfScheme::with_obs(ensf_config, dim, config.obs_model(), fill))
+    };
+    let mut scheme = match method {
+        ScenarioMethod::InpaintEnsf => ensf_scheme(AnalysisMethod::ReverseSde, MaskFill::Inpaint),
+        ScenarioMethod::InpaintFlow => ensf_scheme(AnalysisMethod::FlowMatching, MaskFill::Inpaint),
+        ScenarioMethod::MaskIgnoringEnsf => {
+            ensf_scheme(AnalysisMethod::ReverseSde, MaskFill::ZeroFill)
+        }
+        ScenarioMethod::MaskedLetkf => Box::new(LetkfScheme::with_obs(
             letkf::LetkfConfig::default(),
             &config.params,
-            config.obs_sigma,
-            spec.mask,
+            config.obs_model(),
         )),
     };
 

@@ -4,6 +4,7 @@
 //! be the physics-based SQG, the ViT surrogate, or any AI foundation model;
 //! the analysis scheme can be EnSF, LETKF, or nothing (free runs).
 
+use crate::osse::{ObsModel, ObsOperatorKind};
 use stats::Ensemble;
 
 /// A forecast model advancing a flat state vector through time.
@@ -41,8 +42,9 @@ pub trait ForecastModel {
     }
 }
 
-/// An analysis scheme combining a forecast ensemble with observations of
-/// the full state (the paper's `h = I` OSSE setting).
+/// An analysis scheme combining a forecast ensemble with one cycle's
+/// observation vector (the full state in the paper's `h = I` OSSE
+/// setting, the observed components under a partial mask).
 pub trait AnalysisScheme {
     /// Human-readable name (used in reports).
     fn name(&self) -> &str;
@@ -51,9 +53,10 @@ pub trait AnalysisScheme {
     /// observation vector.
     fn analyze(&mut self, forecast: &Ensemble, observation: &[f64]) -> Ensemble;
 
-    /// `(epoch, seed)` pinning the scheme's internal RNG streams, captured
-    /// at checkpoint time. Deterministic/stateless schemes (LETKF, free
-    /// runs) return `(0, 0)` (the default).
+    /// `(epoch, seed)` pinning the scheme's internal RNG streams and the
+    /// cycle its mask resolves at, captured at checkpoint time. The epoch
+    /// counts analyses; deterministic schemes return seed 0 (LETKF) and
+    /// stateless ones `(0, 0)` (the default, free runs).
     fn rng_state(&self) -> (u64, u64) {
         (0, 0)
     }
@@ -84,116 +87,136 @@ impl AnalysisScheme for NoAssimilation {
     }
 }
 
-/// EnSF adapter over identity observations with error `sigma`.
+/// How a masked EnSF completes the observation vector before the dense
+/// analysis. A full mask needs no completion, so the fill never acts there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MaskFill {
+    /// Inpainting EnSF (Liang et al., arXiv:2501.12419): the obs-space
+    /// innovation `y − h(x̄_f)` is harmonically inpainted across the outage
+    /// on the two-level grid ([`crate::inpaint::harmonic_fill`]). Observed
+    /// pixels keep their real measurements; masked pixels receive spatially
+    /// interpolated pseudo-observations, which anchor the diffusion inside
+    /// the outage to the surrounding network instead of leaving it to the
+    /// prior score alone (which lets small ensembles drift).
+    Inpaint,
+    /// The mask-ignoring baseline, the canonical outage bug: dead sensors
+    /// flat-line at zero in observation space and those zeros are
+    /// assimilated as real measurements, pinning unobserved components
+    /// toward zero. The comparison target inpainting must beat on
+    /// unobserved regions.
+    ZeroFill,
+}
+
+/// The Ensemble Score Filter over an observation model (operator × mask),
+/// on either transport path of [`ensf::EnsfConfig::method`].
+///
+/// Under a full mask the observation vector is assimilated as is through
+/// the dense [`ensf::IdentityObs`]/[`ensf::ArctanObs`] operator. Under a
+/// partial mask it holds only the observed components; the scheme
+/// completes it to a dense vector by its [`MaskFill`] and assimilates that
+/// through the same dense operator. (Pure guidance masking — score-only
+/// diffusion on masked pixels — is the [`ensf::MaskedObs`] operator, which
+/// the sharded runtime applies per tile.)
+///
+/// The mask is resolved at the filter's analysis epoch
+/// ([`AnalysisScheme::rng_state`]), which counts analyses; the supervised
+/// loop pins it to the OSSE cycle before every attempt, so moving-track
+/// masks stay aligned through dropped cycles and retries.
 pub struct EnsfScheme {
     filter: ensf::Ensf,
-    obs: ensf::IdentityObs,
+    dim: usize,
+    obs: ObsModel,
+    fill: MaskFill,
 }
 
 impl EnsfScheme {
-    /// Builds the scheme for a `dim`-dimensional state.
+    /// The paper's scheme: a `dim`-dimensional state observed directly
+    /// (`h = I`, full mask) with error `obs_sigma`.
     pub fn new(config: ensf::EnsfConfig, dim: usize, obs_sigma: f64) -> Self {
-        EnsfScheme { filter: ensf::Ensf::new(config), obs: ensf::IdentityObs::new(dim, obs_sigma) }
+        Self::with_obs(config, dim, ObsModel::identity(obs_sigma), MaskFill::Inpaint)
+    }
+
+    /// A `dim`-dimensional state observed through `obs`; `fill` completes
+    /// partial observation vectors.
+    pub fn with_obs(config: ensf::EnsfConfig, dim: usize, obs: ObsModel, fill: MaskFill) -> Self {
+        EnsfScheme { filter: ensf::Ensf::new(config), dim, obs, fill }
+    }
+
+    /// Completes the mask's observed components to a dense
+    /// observation-space vector by the scheme's fill.
+    fn complete(&self, forecast: &Ensemble, observation: &[f64]) -> Vec<f64> {
+        let ObsModel { operator, mask, .. } = self.obs;
+        let observed = mask.observed_indices(self.dim, self.filter.cycle());
+        assert_eq!(
+            observation.len(),
+            observed.len(),
+            "observation vector must hold exactly the mask's observed components"
+        );
+        let mut y_full = vec![0.0; self.dim];
+        if self.fill == MaskFill::Inpaint {
+            // Harmonic inpainting of the obs-space innovation field:
+            // Dirichlet data at observed pixels, Laplace fill across the
+            // outage.
+            let mean = forecast.mean();
+            let mut innovation = vec![0.0; self.dim];
+            let mut known = vec![false; self.dim];
+            for (&i, &y) in observed.iter().zip(observation) {
+                innovation[i] = y - operator.h(mean[i]);
+                known[i] = true;
+            }
+            crate::inpaint::harmonic_fill(&mut innovation, &known, crate::inpaint::FILL_SWEEPS);
+            for i in (0..self.dim).filter(|&i| !known[i]) {
+                y_full[i] = operator.h(mean[i]) + innovation[i];
+            }
+        }
+        // Real measurements pass through exactly.
+        for (&i, &y) in observed.iter().zip(observation) {
+            y_full[i] = y;
+        }
+        y_full
     }
 }
 
 impl AnalysisScheme for EnsfScheme {
     fn name(&self) -> &str {
-        "EnSF"
-    }
-
-    fn analyze(&mut self, forecast: &Ensemble, observation: &[f64]) -> Ensemble {
-        self.filter.analyze(forecast, observation, &self.obs)
-    }
-
-    fn rng_state(&self) -> (u64, u64) {
-        (self.filter.cycle(), self.filter.config().seed)
-    }
-
-    fn set_rng_state(&mut self, epoch: u64, seed: u64) {
-        self.filter.set_cycle(epoch);
-        self.filter.reseed(seed);
-    }
-
-    fn reseed(&mut self, seed: u64) {
-        self.filter.reseed(seed);
-    }
-}
-
-/// EnSF adapter over the saturating `h(x) = arctan(gain · x)` observation
-/// operator — the `nonlinear_obs` stress operator promoted into a standard
-/// scheme so OSSE scenarios with [`crate::ObsOperatorKind::Arctan`]
-/// assimilate observations generated in the matching observation space.
-pub struct ArctanEnsfScheme {
-    filter: ensf::Ensf,
-    obs: ensf::ArctanObs,
-}
-
-impl ArctanEnsfScheme {
-    /// Builds the scheme for a `dim`-dimensional state observed through
-    /// `arctan(gain · x)` with error `sigma` in observation space.
-    pub fn new(config: ensf::EnsfConfig, dim: usize, obs_sigma: f64, gain: f64) -> Self {
-        ArctanEnsfScheme {
-            filter: ensf::Ensf::new(config),
-            obs: ensf::ArctanObs::with_gain(dim, obs_sigma, gain),
+        use ensf::AnalysisMethod::{FlowMatching, ReverseSde};
+        use ObsOperatorKind::{Arctan, Identity};
+        match (self.filter.config().method, self.obs.mask.is_full(), self.obs.operator, self.fill) {
+            (ReverseSde, true, Identity, _) => "EnSF",
+            (ReverseSde, true, Arctan { .. }, _) => "EnSF-arctan",
+            (FlowMatching, true, Identity, _) => "FlowEnSF",
+            (FlowMatching, true, Arctan { .. }, _) => "FlowEnSF-arctan",
+            (ReverseSde, false, _, MaskFill::Inpaint) => "EnSF-inpaint",
+            (FlowMatching, false, _, MaskFill::Inpaint) => "FlowEnSF-inpaint",
+            (ReverseSde, false, _, MaskFill::ZeroFill) => "EnSF-ignore",
+            (FlowMatching, false, _, MaskFill::ZeroFill) => "FlowEnSF-ignore",
         }
     }
-}
 
-impl AnalysisScheme for ArctanEnsfScheme {
-    fn name(&self) -> &str {
-        "EnSF-arctan"
-    }
-
+    /// # Panics
+    /// Panics when a partial mask's observation vector does not hold
+    /// exactly the mask's observed components at the current epoch, or a
+    /// full mask's does not hold `dim` values.
     fn analyze(&mut self, forecast: &Ensemble, observation: &[f64]) -> Ensemble {
-        self.filter.analyze(forecast, observation, &self.obs)
-    }
-
-    fn rng_state(&self) -> (u64, u64) {
-        (self.filter.cycle(), self.filter.config().seed)
-    }
-
-    fn set_rng_state(&mut self, epoch: u64, seed: u64) {
-        self.filter.set_cycle(epoch);
-        self.filter.reseed(seed);
-    }
-
-    fn reseed(&mut self, seed: u64) {
-        self.filter.reseed(seed);
-    }
-}
-
-/// Flow-matching EnSF adapter over identity observations: the same score
-/// machinery as [`EnsfScheme`], but the analysis integrates the few-step
-/// deterministic probability-flow ODE instead of the 100-step stochastic
-/// reverse SDE. `config.method` is forced to
-/// [`ensf::AnalysisMethod::FlowMatching`], so `n_steps` means ODE grid
-/// steps (5–10 reach SDE-level accuracy).
-pub struct FlowMatchingEnsfScheme {
-    filter: ensf::Ensf,
-    obs: ensf::IdentityObs,
-}
-
-impl FlowMatchingEnsfScheme {
-    /// Builds the scheme for a `dim`-dimensional state; `config.method` is
-    /// overridden to the flow-matching analysis path.
-    pub fn new(config: ensf::EnsfConfig, dim: usize, obs_sigma: f64) -> Self {
-        let config = ensf::EnsfConfig { method: ensf::AnalysisMethod::FlowMatching, ..config };
-        FlowMatchingEnsfScheme {
-            filter: ensf::Ensf::new(config),
-            obs: ensf::IdentityObs::new(dim, obs_sigma),
+        let completed;
+        // A full mask takes the observation as is: no fill arithmetic, so
+        // the dense paths stay bitwise what they always were.
+        let y = if self.obs.mask.is_full() {
+            observation
+        } else {
+            completed = self.complete(forecast, observation);
+            &completed
+        };
+        let (dim, sigma) = (self.dim, self.obs.sigma);
+        match self.obs.operator {
+            ObsOperatorKind::Identity => {
+                self.filter.analyze(forecast, y, &ensf::IdentityObs::new(dim, sigma))
+            }
+            ObsOperatorKind::Arctan { gain } => {
+                self.filter.analyze(forecast, y, &ensf::ArctanObs::with_gain(dim, sigma, gain))
+            }
         }
     }
-}
-
-impl AnalysisScheme for FlowMatchingEnsfScheme {
-    fn name(&self) -> &str {
-        "FlowEnSF"
-    }
-
-    fn analyze(&mut self, forecast: &Ensemble, observation: &[f64]) -> Ensemble {
-        self.filter.analyze(forecast, observation, &self.obs)
-    }
 
     fn rng_state(&self) -> (u64, u64) {
         (self.filter.cycle(), self.filter.config().seed)
@@ -209,411 +232,96 @@ impl AnalysisScheme for FlowMatchingEnsfScheme {
     }
 }
 
-/// Flow-matching EnSF adapter over the saturating arctan observation
-/// operator ([`ArctanEnsfScheme`]'s deterministic few-step counterpart).
-/// The flow's guidance linearizes `h` at the denoised estimate via the
-/// operator's Jacobian, so the nonlinear-obs path needs no extra wiring.
-pub struct FlowMatchingArctanEnsfScheme {
-    filter: ensf::Ensf,
-    obs: ensf::ArctanObs,
-}
-
-impl FlowMatchingArctanEnsfScheme {
-    /// Builds the scheme for a `dim`-dimensional state observed through
-    /// `arctan(gain · x)` with error `sigma` in observation space;
-    /// `config.method` is overridden to the flow-matching analysis path.
-    pub fn new(config: ensf::EnsfConfig, dim: usize, obs_sigma: f64, gain: f64) -> Self {
-        let config = ensf::EnsfConfig { method: ensf::AnalysisMethod::FlowMatching, ..config };
-        FlowMatchingArctanEnsfScheme {
-            filter: ensf::Ensf::new(config),
-            obs: ensf::ArctanObs::with_gain(dim, obs_sigma, gain),
-        }
-    }
-}
-
-impl AnalysisScheme for FlowMatchingArctanEnsfScheme {
-    fn name(&self) -> &str {
-        "FlowEnSF-arctan"
-    }
-
-    fn analyze(&mut self, forecast: &Ensemble, observation: &[f64]) -> Ensemble {
-        self.filter.analyze(forecast, observation, &self.obs)
-    }
-
-    fn rng_state(&self) -> (u64, u64) {
-        (self.filter.cycle(), self.filter.config().seed)
-    }
-
-    fn set_rng_state(&mut self, epoch: u64, seed: u64) {
-        self.filter.set_cycle(epoch);
-        self.filter.reseed(seed);
-    }
-
-    fn reseed(&mut self, seed: u64) {
-        self.filter.reseed(seed);
-    }
-}
-
-/// EnSF adapter over a *sparse* network observing every `stride`-th state
-/// component. The workflow still hands the full noisy-state vector to the
-/// scheme (the OSSE measures everything); the scheme subsamples it, so only
-/// the network's share of the information reaches the filter.
-pub struct SparseEnsfScheme {
-    filter: ensf::Ensf,
-    obs: ensf::StridedObs,
-    stride: usize,
-}
-
-impl SparseEnsfScheme {
-    /// Builds the scheme for a `dim`-dimensional state observed at every
-    /// `stride`-th component.
-    pub fn new(config: ensf::EnsfConfig, dim: usize, stride: usize, obs_sigma: f64) -> Self {
-        assert!(stride >= 1);
-        SparseEnsfScheme {
-            filter: ensf::Ensf::new(config),
-            obs: ensf::StridedObs::new(dim, stride, obs_sigma),
-            stride,
-        }
-    }
-}
-
-impl AnalysisScheme for SparseEnsfScheme {
-    fn name(&self) -> &str {
-        "EnSF-sparse"
-    }
-
-    fn analyze(&mut self, forecast: &Ensemble, observation: &[f64]) -> Ensemble {
-        let y: Vec<f64> = observation.iter().step_by(self.stride).copied().collect();
-        self.filter.analyze(forecast, &y, &self.obs)
-    }
-
-    fn rng_state(&self) -> (u64, u64) {
-        (self.filter.cycle(), self.filter.config().seed)
-    }
-
-    fn set_rng_state(&mut self, epoch: u64, seed: u64) {
-        self.filter.set_cycle(epoch);
-        self.filter.reseed(seed);
-    }
-
-    fn reseed(&mut self, seed: u64) {
-        self.filter.reseed(seed);
-    }
-}
-
-/// LETKF adapter over the two-level SQG grid with identity observations,
-/// optionally thinned to every `stride`-th grid point (sparse networks are
-/// LETKF's home turf: localization spreads the sparse information).
+/// LETKF over the two-level SQG grid and an identity observation model,
+/// full or masked. Each observed component becomes a [`letkf::PointObs`]
+/// at its true grid location, so localization spreads a partial network's
+/// information into the outage — LETKF's native answer to sparse networks
+/// and sensor outages, and the masked baseline the EnSF scenarios are
+/// judged against.
+///
+/// The mask is resolved at the scheme's epoch, which counts analyses like
+/// [`EnsfScheme`]'s and is restored and pinned through
+/// [`AnalysisScheme::set_rng_state`].
 pub struct LetkfScheme {
     filter: letkf::Letkf,
-    obs_sigma: f64,
-    stride: usize,
+    dim: usize,
+    obs: ObsModel,
+    epoch: u64,
 }
 
 impl LetkfScheme {
     /// Builds the scheme for an `n × n × 2` grid with physical parameters
-    /// from `params` (Rossby-coupled vertical localization).
+    /// from `params` (Rossby-coupled vertical localization), observed
+    /// directly at every component with error `obs_sigma`.
     pub fn new(config: letkf::LetkfConfig, params: &sqg::SqgParams, obs_sigma: f64) -> Self {
-        Self::with_stride(config, params, obs_sigma, 1)
+        Self::with_obs(config, params, ObsModel::identity(obs_sigma))
     }
 
-    /// Same, observing only every `stride`-th state component.
-    pub fn with_stride(
-        config: letkf::LetkfConfig,
-        params: &sqg::SqgParams,
-        obs_sigma: f64,
-        stride: usize,
-    ) -> Self {
-        assert!(stride >= 1);
+    /// Same grid, observed through `obs`.
+    ///
+    /// # Panics
+    /// Panics unless `obs.operator` is the identity: LETKF linearizes about
+    /// the forecast, so the saturating operators stay with EnSF.
+    pub fn with_obs(config: letkf::LetkfConfig, params: &sqg::SqgParams, obs: ObsModel) -> Self {
+        assert_eq!(obs.operator, ObsOperatorKind::Identity, "LETKF observes through h = I only");
         let geometry = letkf::GridGeometry::new(
             params.n,
             sqg::LEVELS,
             params.domain,
             params.rossby_radius(),
         );
-        LetkfScheme { filter: letkf::Letkf::new(config, geometry), obs_sigma, stride }
+        LetkfScheme {
+            filter: letkf::Letkf::new(config, geometry),
+            dim: params.state_dim(),
+            obs,
+            epoch: 0,
+        }
     }
 }
 
 impl AnalysisScheme for LetkfScheme {
     fn name(&self) -> &str {
-        "LETKF"
+        if self.obs.mask.is_full() {
+            "LETKF"
+        } else {
+            "LETKF-masked"
+        }
     }
 
+    /// # Panics
+    /// Panics unless the observation vector holds exactly the mask's
+    /// observed components at the current epoch (`dim` values under a full
+    /// mask): a vector of another network would put values at the wrong
+    /// grid points.
     fn analyze(&mut self, forecast: &Ensemble, observation: &[f64]) -> Ensemble {
-        let network: Vec<letkf::PointObs> = observation
-            .iter()
-            .enumerate()
-            .step_by(self.stride)
-            .map(|(i, &v)| letkf::PointObs { state_index: i, value: v, sigma: self.obs_sigma })
-            .collect();
-        self.filter.analyze(forecast, &network)
-    }
-}
-
-/// Runs one dense analysis through the operator kind's batched-GEMM-ready
-/// dense observation operator (shared by the masked schemes, which
-/// complete the observation vector before assimilating).
-fn dense_analyze(
-    filter: &mut ensf::Ensf,
-    forecast: &Ensemble,
-    y: &[f64],
-    dim: usize,
-    obs_sigma: f64,
-    operator: crate::osse::ObsOperatorKind,
-) -> Ensemble {
-    match operator {
-        crate::osse::ObsOperatorKind::Identity => {
-            filter.analyze(forecast, y, &ensf::IdentityObs::new(dim, obs_sigma))
-        }
-        crate::osse::ObsOperatorKind::Arctan { gain } => {
-            filter.analyze(forecast, y, &ensf::ArctanObs::with_gain(dim, obs_sigma, gain))
-        }
-    }
-}
-
-/// Inpainting-EnSF adapter over a partially observed network (Liang et
-/// al., arXiv:2501.12419): the observation vector holds only the mask's
-/// observed components; the scheme rebuilds a dense vector by harmonic
-/// inpainting of the obs-space innovation field `y − h(x̄_f)` on the
-/// two-level grid ([`crate::inpaint::harmonic_fill`]) and assimilates the
-/// completed vector through the dense batched-GEMM score kernels. Observed
-/// pixels keep their real measurements, so guidance there is exact; masked
-/// pixels receive spatially interpolated pseudo-observations, anchoring
-/// the diffusion inside the outage to real information from the
-/// surrounding network instead of leaving it to the prior score alone
-/// (which lets small ensembles drift; see the scenario bench). Pure
-/// guidance masking — score-only diffusion on masked pixels — remains
-/// available as the [`ensf::MaskedObs`] operator, which the sharded
-/// runtime partitions per tile. Serves both transport paths — set
-/// [`ensf::EnsfConfig::method`] to pick the reverse SDE or the few-step
-/// probability-flow ODE.
-///
-/// The mask's cycle index is the filter's analysis-cycle counter, so
-/// moving-track masks stay aligned with the OSSE as long as the scheme
-/// performs one analysis per assimilation cycle (checkpoint restore
-/// re-aligns it through [`AnalysisScheme::set_rng_state`]).
-pub struct MaskedEnsfScheme {
-    filter: ensf::Ensf,
-    dim: usize,
-    obs_sigma: f64,
-    operator: crate::osse::ObsOperatorKind,
-    mask: crate::osse::MaskKind,
-    name: &'static str,
-}
-
-impl MaskedEnsfScheme {
-    /// Builds the scheme for a `dim`-dimensional state observed through
-    /// `operator` at the components `mask` leaves visible.
-    pub fn new(
-        config: ensf::EnsfConfig,
-        dim: usize,
-        obs_sigma: f64,
-        operator: crate::osse::ObsOperatorKind,
-        mask: crate::osse::MaskKind,
-    ) -> Self {
-        let name = match config.method {
-            ensf::AnalysisMethod::ReverseSde => "EnSF-inpaint",
-            ensf::AnalysisMethod::FlowMatching => "FlowEnSF-inpaint",
-        };
-        MaskedEnsfScheme { filter: ensf::Ensf::new(config), dim, obs_sigma, operator, mask, name }
-    }
-}
-
-impl AnalysisScheme for MaskedEnsfScheme {
-    fn name(&self) -> &str {
-        self.name
-    }
-
-    fn analyze(&mut self, forecast: &Ensemble, observation: &[f64]) -> Ensemble {
-        let cycle = self.filter.cycle();
-        if self.mask.is_full() {
-            // Bitwise identical to the dense schemes: same operator, same
-            // observation vector, no fill arithmetic on the way.
-            return dense_analyze(
-                &mut self.filter,
-                forecast,
-                observation,
-                self.dim,
-                self.obs_sigma,
-                self.operator,
-            );
-        }
-        let observed = self.mask.observed_indices(self.dim, cycle);
+        let observed = self.obs.mask.observed_indices(self.dim, self.epoch);
         assert_eq!(
             observation.len(),
             observed.len(),
             "observation vector must hold exactly the mask's observed components"
         );
-        let mean = forecast.mean();
-        // Harmonic inpainting of the obs-space innovation field: Dirichlet
-        // data at observed pixels, Laplace fill across the outage.
-        let mut innovation = vec![0.0; self.dim];
-        let mut known = vec![false; self.dim];
-        for (k, &i) in observed.iter().enumerate() {
-            innovation[i] = observation[k] - self.operator.h(mean[i]);
-            known[i] = true;
-        }
-        crate::inpaint::harmonic_fill(&mut innovation, &known, crate::inpaint::FILL_SWEEPS);
-        let mut y_full = vec![0.0; self.dim];
-        let mut k = 0;
-        for i in 0..self.dim {
-            if known[i] {
-                // Real measurements pass through exactly.
-                y_full[i] = observation[k];
-                k += 1;
-            } else {
-                y_full[i] = self.operator.h(mean[i]) + innovation[i];
-            }
-        }
-        dense_analyze(&mut self.filter, forecast, &y_full, self.dim, self.obs_sigma, self.operator)
-    }
-
-    fn rng_state(&self) -> (u64, u64) {
-        (self.filter.cycle(), self.filter.config().seed)
-    }
-
-    fn set_rng_state(&mut self, epoch: u64, seed: u64) {
-        self.filter.set_cycle(epoch);
-        self.filter.reseed(seed);
-    }
-
-    fn reseed(&mut self, seed: u64) {
-        self.filter.reseed(seed);
-    }
-}
-
-/// Mask-*ignoring* EnSF baseline: the canonical outage bug. The dense
-/// pipeline is fed as if the network were complete — dead sensors
-/// flat-line at zero in observation space, and those zeros are
-/// assimilated as real measurements with full guidance weight, pinning
-/// unobserved components toward zero regardless of the flow state. This
-/// is the comparison target the inpainting guidance must beat on
-/// unobserved regions (Liang et al.'s plain-EnSF comparison).
-pub struct MaskIgnoringEnsfScheme {
-    filter: ensf::Ensf,
-    dim: usize,
-    obs_sigma: f64,
-    operator: crate::osse::ObsOperatorKind,
-    mask: crate::osse::MaskKind,
-}
-
-impl MaskIgnoringEnsfScheme {
-    /// Builds the baseline for a `dim`-dimensional state under `mask`,
-    /// observing through `operator` (dead slots read zero in its
-    /// observation space).
-    pub fn new(
-        config: ensf::EnsfConfig,
-        dim: usize,
-        obs_sigma: f64,
-        operator: crate::osse::ObsOperatorKind,
-        mask: crate::osse::MaskKind,
-    ) -> Self {
-        MaskIgnoringEnsfScheme { filter: ensf::Ensf::new(config), dim, obs_sigma, operator, mask }
-    }
-}
-
-impl AnalysisScheme for MaskIgnoringEnsfScheme {
-    fn name(&self) -> &str {
-        "EnSF-ignore"
-    }
-
-    fn analyze(&mut self, forecast: &Ensemble, observation: &[f64]) -> Ensemble {
-        let cycle = self.filter.cycle();
-        let observed = self.mask.observed_indices(self.dim, cycle);
-        assert_eq!(
-            observation.len(),
-            observed.len(),
-            "observation vector must hold exactly the mask's observed components"
-        );
-        let mut y_full = vec![0.0; self.dim];
-        for (k, &i) in observed.iter().enumerate() {
-            y_full[i] = observation[k];
-        }
-        dense_analyze(&mut self.filter, forecast, &y_full, self.dim, self.obs_sigma, self.operator)
-    }
-
-    fn rng_state(&self) -> (u64, u64) {
-        (self.filter.cycle(), self.filter.config().seed)
-    }
-
-    fn set_rng_state(&mut self, epoch: u64, seed: u64) {
-        self.filter.set_cycle(epoch);
-        self.filter.reseed(seed);
-    }
-
-    fn reseed(&mut self, seed: u64) {
-        self.filter.reseed(seed);
-    }
-}
-
-/// LETKF adapter over a masked identity network: the observation vector
-/// holds only the mask's observed components, each becoming a
-/// [`letkf::PointObs`] at its true grid location so localization spreads
-/// the partial information — LETKF's native answer to sensor outages, and
-/// the masked baseline the EnSF scenarios are judged against.
-pub struct MaskedLetkfScheme {
-    filter: letkf::Letkf,
-    obs_sigma: f64,
-    dim: usize,
-    mask: crate::osse::MaskKind,
-    cycle: u64,
-}
-
-impl MaskedLetkfScheme {
-    /// Builds the scheme for an `n × n × 2` grid under `mask` (identity
-    /// observation base; LETKF linearizes about the forecast, so the
-    /// saturating operators stay with the EnSF adapters).
-    pub fn new(
-        config: letkf::LetkfConfig,
-        params: &sqg::SqgParams,
-        obs_sigma: f64,
-        mask: crate::osse::MaskKind,
-    ) -> Self {
-        let geometry = letkf::GridGeometry::new(
-            params.n,
-            sqg::LEVELS,
-            params.domain,
-            params.rossby_radius(),
-        );
-        MaskedLetkfScheme {
-            filter: letkf::Letkf::new(config, geometry),
-            obs_sigma,
-            dim: params.state_dim(),
-            mask,
-            cycle: 0,
-        }
-    }
-}
-
-impl AnalysisScheme for MaskedLetkfScheme {
-    fn name(&self) -> &str {
-        "LETKF-masked"
-    }
-
-    fn analyze(&mut self, forecast: &Ensemble, observation: &[f64]) -> Ensemble {
-        let observed = self.mask.observed_indices(self.dim, self.cycle);
-        self.cycle += 1;
+        self.epoch += 1;
         let network: Vec<letkf::PointObs> = observed
             .iter()
             .zip(observation)
-            .map(|(&i, &v)| letkf::PointObs { state_index: i, value: v, sigma: self.obs_sigma })
+            .map(|(&i, &v)| letkf::PointObs { state_index: i, value: v, sigma: self.obs.sigma })
             .collect();
         self.filter.analyze(forecast, &network)
     }
 
     fn rng_state(&self) -> (u64, u64) {
-        (self.cycle, 0)
+        (self.epoch, 0)
     }
 
     fn set_rng_state(&mut self, epoch: u64, _seed: u64) {
-        self.cycle = epoch;
+        self.epoch = epoch;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::osse::MaskKind;
 
     struct Doubler;
     impl ForecastModel for Doubler {
@@ -625,6 +333,11 @@ mod tests {
                 *v *= 2.0f64.powf(hours / 12.0);
             }
         }
+    }
+
+    /// An identity network under `mask`.
+    fn masked(sigma: f64, mask: MaskKind) -> ObsModel {
+        ObsModel { mask, ..ObsModel::identity(sigma) }
     }
 
     #[test]
@@ -646,14 +359,53 @@ mod tests {
     }
 
     #[test]
+    fn scheme_names_follow_what_the_scheme_does() {
+        use ensf::AnalysisMethod::{FlowMatching, ReverseSde};
+        use MaskFill::{Inpaint, ZeroFill};
+        let (id, arctan) = (ObsOperatorKind::Identity, ObsOperatorKind::Arctan { gain: 4.0 });
+        let (full, block) = (MaskKind::Full, MaskKind::Block { start: 2, len: 4 });
+        let full_stride = MaskKind::Strided { stride: 1, phase: 0 };
+        let ensf_rows = [
+            (ReverseSde, id, full, Inpaint, "EnSF"),
+            (ReverseSde, arctan, full, Inpaint, "EnSF-arctan"),
+            (FlowMatching, id, full, ZeroFill, "FlowEnSF"),
+            (FlowMatching, arctan, full, Inpaint, "FlowEnSF-arctan"),
+            (ReverseSde, id, block, Inpaint, "EnSF-inpaint"),
+            (ReverseSde, arctan, block, Inpaint, "EnSF-inpaint"),
+            (FlowMatching, id, block, Inpaint, "FlowEnSF-inpaint"),
+            (ReverseSde, id, block, ZeroFill, "EnSF-ignore"),
+            // A mask that hides nothing is the dense scheme, by name too.
+            (ReverseSde, id, full_stride, Inpaint, "EnSF"),
+            (FlowMatching, arctan, full_stride, ZeroFill, "FlowEnSF-arctan"),
+        ];
+        for (method, operator, mask, fill, want) in ensf_rows {
+            let config = ensf::EnsfConfig { method, ..Default::default() };
+            let obs = ObsModel { sigma: 0.1, operator, mask };
+            assert_eq!(EnsfScheme::with_obs(config, 8, obs, fill).name(), want, "{obs:?} {fill:?}");
+        }
+        assert_eq!(EnsfScheme::new(ensf::EnsfConfig::default(), 8, 0.1).name(), "EnSF");
+
+        let params = sqg::SqgParams { n: 4, ..Default::default() };
+        let letkf_rows = [(full, "LETKF"), (full_stride, "LETKF"), (block, "LETKF-masked")];
+        for (mask, want) in letkf_rows {
+            let config = letkf::LetkfConfig::default();
+            let scheme = LetkfScheme::with_obs(config, &params, masked(0.1, mask));
+            assert_eq!(scheme.name(), want, "{mask:?}");
+        }
+        assert_eq!(LetkfScheme::new(letkf::LetkfConfig::default(), &params, 0.1).name(), "LETKF");
+    }
+
+    #[test]
     fn arctan_scheme_pulls_toward_obs_space_target() {
         let dim = 8;
         let gain = 4.0;
-        let mut scheme = ArctanEnsfScheme::new(
+        let obs =
+            ObsModel { operator: ObsOperatorKind::Arctan { gain }, ..ObsModel::identity(0.05) };
+        let mut scheme = EnsfScheme::with_obs(
             ensf::EnsfConfig { n_steps: 20, seed: 7, ..Default::default() },
             dim,
-            0.05,
-            gain,
+            obs,
+            MaskFill::Inpaint,
         );
         assert_eq!(scheme.name(), "EnSF-arctan");
         // Ensemble scattered around 0; truth at 0.8, observed through
@@ -687,49 +439,32 @@ mod tests {
 
     #[test]
     fn sparse_schemes_only_use_their_network() {
-        // With stride 2, perturbing an UNOBSERVED component of the
-        // observation vector must not change the analysis.
+        // A stride-2 network hands the scheme one value per comb component.
+        // Zero-filled, they must land exactly on components 0, 2, 4, 6: the
+        // result equals the dense scheme on the scattered vector, bit for
+        // bit.
         let members: Vec<Vec<f64>> = (0..10).map(|m| vec![0.1 * m as f64; 8]).collect();
         let fc = Ensemble::from_members(&members);
-        let mut scheme = SparseEnsfScheme::new(
-            ensf::EnsfConfig { n_steps: 15, seed: 2, ..Default::default() },
-            8,
-            2,
-            0.5,
-        );
-        assert_eq!(scheme.name(), "EnSF-sparse");
-        let mut y = vec![1.0; 8];
-        let a1 = scheme.analyze(&fc, &y);
-        y[1] = 99.0; // unobserved slot
-        let mut scheme2 = SparseEnsfScheme::new(
-            ensf::EnsfConfig { n_steps: 15, seed: 2, ..Default::default() },
-            8,
-            2,
-            0.5,
-        );
-        let a2 = scheme2.analyze(&fc, &y);
+        let config = ensf::EnsfConfig { n_steps: 15, seed: 2, ..Default::default() };
+        let stride2 = masked(0.5, MaskKind::Strided { stride: 2, phase: 0 });
+        let mut sparse = EnsfScheme::with_obs(config.clone(), 8, stride2, MaskFill::ZeroFill);
+        let a1 = sparse.analyze(&fc, &[1.0, 2.0, 3.0, 4.0]);
+        let mut dense = EnsfScheme::new(config, 8, 0.5);
+        let a2 = dense.analyze(&fc, &[1.0, 0.0, 2.0, 0.0, 3.0, 0.0, 4.0, 0.0]);
         assert_eq!(a1.as_slice(), a2.as_slice());
     }
 
     #[test]
     fn letkf_stride_thins_network() {
         let params = sqg::SqgParams { n: 4, ..Default::default() };
-        let mut dense = LetkfScheme::new(
-            letkf::LetkfConfig { rtps_alpha: 0.0, ..Default::default() },
-            &params,
-            0.3,
-        );
-        let mut sparse = LetkfScheme::with_stride(
-            letkf::LetkfConfig { rtps_alpha: 0.0, ..Default::default() },
-            &params,
-            0.3,
-            4,
-        );
+        let config = letkf::LetkfConfig { rtps_alpha: 0.0, ..Default::default() };
+        let mut dense = LetkfScheme::new(config.clone(), &params, 0.3);
+        let stride4 = masked(0.3, MaskKind::Strided { stride: 4, phase: 0 });
+        let mut sparse = LetkfScheme::with_obs(config, &params, stride4);
         let members: Vec<Vec<f64>> = (0..10).map(|m| vec![0.2 * m as f64 - 0.9; 32]).collect();
         let fc = Ensemble::from_members(&members);
-        let y = vec![1.0; 32];
-        let ad = dense.analyze(&fc, &y);
-        let asp = sparse.analyze(&fc, &y);
+        let ad = dense.analyze(&fc, &[1.0; 32]);
+        let asp = sparse.analyze(&fc, &[1.0; 8]);
         let pull = |e: &Ensemble, i: usize| (e.mean()[i] - fc.mean()[i]).abs();
         // Component 1 is unobserved by the sparse network (and, with the
         // default 2000 km cutoff on this coarse 5000 km-spacing grid, out of
@@ -744,9 +479,8 @@ mod tests {
 
     #[test]
     fn masked_ensf_scheme_full_mask_matches_dense_scheme_bitwise() {
-        // Under ScoreKernel::Reference there is no hoisted constant-Jacobian
-        // branch, so the full-mask MaskedObs must reproduce the dense
-        // IdentityObs analysis bit-for-bit.
+        // Masks that hide nothing take the dense path under either fill:
+        // same operator, same observation vector, no fill arithmetic.
         let dim = 6;
         let config = ensf::EnsfConfig {
             n_steps: 12,
@@ -757,28 +491,30 @@ mod tests {
         let members: Vec<Vec<f64>> = (0..10).map(|m| vec![0.1 * m as f64 - 0.4; dim]).collect();
         let fc = Ensemble::from_members(&members);
         let y = vec![0.7; dim];
-        let mut dense = EnsfScheme::new(config.clone(), dim, 0.5);
-        let mut masked = MaskedEnsfScheme::new(
-            config,
-            dim,
-            0.5,
-            crate::osse::ObsOperatorKind::Identity,
-            crate::osse::MaskKind::Full,
-        );
-        assert_eq!(masked.name(), "EnSF-inpaint");
-        assert_eq!(dense.analyze(&fc, &y).as_slice(), masked.analyze(&fc, &y).as_slice());
+        let want = EnsfScheme::new(config.clone(), dim, 0.5).analyze(&fc, &y);
+        let full_masks = [
+            MaskKind::Full,
+            MaskKind::Block { start: 2, len: 0 },
+            MaskKind::Strided { stride: 1, phase: 0 },
+        ];
+        for mask in full_masks {
+            for fill in [MaskFill::Inpaint, MaskFill::ZeroFill] {
+                let mut scheme = EnsfScheme::with_obs(config.clone(), dim, masked(0.5, mask), fill);
+                let got = scheme.analyze(&fc, &y);
+                assert_eq!(got.as_slice(), want.as_slice(), "{mask:?} {fill:?}");
+            }
+        }
     }
 
     #[test]
     fn masked_ensf_scheme_accepts_shrunk_observation_vector() {
         let dim = 8;
-        let mask = crate::osse::MaskKind::Block { start: 2, len: 4 };
-        let mut scheme = MaskedEnsfScheme::new(
+        let mask = MaskKind::Block { start: 2, len: 4 };
+        let mut scheme = EnsfScheme::with_obs(
             ensf::EnsfConfig { n_steps: 10, seed: 3, ..Default::default() },
             dim,
-            0.5,
-            crate::osse::ObsOperatorKind::Identity,
-            mask,
+            masked(0.5, mask),
+            MaskFill::Inpaint,
         );
         let members: Vec<Vec<f64>> = (0..10).map(|m| vec![0.1 * m as f64; dim]).collect();
         let fc = Ensemble::from_members(&members);
@@ -791,13 +527,12 @@ mod tests {
     #[test]
     fn mask_ignoring_baseline_assimilates_dead_sensor_zeros() {
         let dim = 8;
-        let mask = crate::osse::MaskKind::Block { start: 4, len: 4 };
-        let mut scheme = MaskIgnoringEnsfScheme::new(
+        let mask = MaskKind::Block { start: 4, len: 4 };
+        let mut scheme = EnsfScheme::with_obs(
             ensf::EnsfConfig { n_steps: 15, seed: 4, ..Default::default() },
             dim,
-            0.05,
-            crate::osse::ObsOperatorKind::Identity,
-            mask,
+            masked(0.05, mask),
+            MaskFill::ZeroFill,
         );
         assert_eq!(scheme.name(), "EnSF-ignore");
         // Forecast mean sits at 0.55; real obs say 1.0, dead sensors say 0.
@@ -826,13 +561,12 @@ mod tests {
         // harmonic fill reconstructs the (constant) innovation and the
         // analysis pulls the outage toward the observed value, not zero.
         let dim = 8;
-        let mask = crate::osse::MaskKind::Block { start: 0, len: 4 };
-        let mut scheme = MaskedEnsfScheme::new(
+        let mask = MaskKind::Block { start: 0, len: 4 };
+        let mut scheme = EnsfScheme::with_obs(
             ensf::EnsfConfig { n_steps: 15, seed: 4, ..Default::default() },
             dim,
-            0.05,
-            crate::osse::ObsOperatorKind::Identity,
-            mask,
+            masked(0.05, mask),
+            MaskFill::Inpaint,
         );
         let members: Vec<Vec<f64>> = (0..12).map(|m| vec![0.1 * m as f64; dim]).collect();
         let fc = Ensemble::from_members(&members);
@@ -845,12 +579,11 @@ mod tests {
     #[test]
     fn masked_letkf_updates_only_near_observed_components() {
         let params = sqg::SqgParams { n: 4, ..Default::default() };
-        let mask = crate::osse::MaskKind::Block { start: 1, len: 30 };
-        let mut scheme = MaskedLetkfScheme::new(
+        let mask = MaskKind::Block { start: 1, len: 30 };
+        let mut scheme = LetkfScheme::with_obs(
             letkf::LetkfConfig { rtps_alpha: 0.0, ..Default::default() },
             &params,
-            0.3,
-            mask,
+            masked(0.3, mask),
         );
         assert_eq!(scheme.name(), "LETKF-masked");
         let members: Vec<Vec<f64>> = (0..10).map(|m| vec![0.2 * m as f64 - 0.9; 32]).collect();
@@ -867,7 +600,28 @@ mod tests {
         // observations on this coarse 5000 km-spacing grid — far outside
         // the 2000 km cutoff — and its vertical partner is unobserved too.
         assert!(pull(&an, 10) < 1e-12, "unobserved far component must not move");
-        assert_eq!(scheme.rng_state().0, 1, "cycle counter advances");
+        assert_eq!(scheme.rng_state().0, 1, "epoch advances");
+    }
+
+    #[test]
+    #[should_panic(expected = "must hold exactly the mask's observed components")]
+    fn dense_letkf_rejects_a_masked_observation_vector() {
+        // A dense LETKF handed a shrunk vector (e.g. as the fallback of a
+        // masked run) would read slot k as state component k.
+        let params = sqg::SqgParams { n: 4, ..Default::default() };
+        let mut scheme = LetkfScheme::new(letkf::LetkfConfig::default(), &params, 0.3);
+        let members: Vec<Vec<f64>> = (0..10).map(|m| vec![0.2 * m as f64 - 0.9; 32]).collect();
+        let _ = scheme.analyze(&Ensemble::from_members(&members), &[1.0; 24]);
+    }
+
+    #[test]
+    #[should_panic(expected = "must hold exactly the mask's observed components")]
+    fn masked_letkf_rejects_a_full_observation_vector() {
+        let params = sqg::SqgParams { n: 4, ..Default::default() };
+        let block = masked(0.3, MaskKind::Block { start: 8, len: 8 });
+        let mut scheme = LetkfScheme::with_obs(letkf::LetkfConfig::default(), &params, block);
+        let members: Vec<Vec<f64>> = (0..10).map(|m| vec![0.2 * m as f64 - 0.9; 32]).collect();
+        let _ = scheme.analyze(&Ensemble::from_members(&members), &[1.0; 32]);
     }
 
     #[test]

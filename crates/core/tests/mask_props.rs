@@ -2,7 +2,7 @@
 //! inpainting EnSF's dense-limit behavior.
 
 use da_core::osse::MaskKind;
-use da_core::{AnalysisScheme, EnsfScheme, MaskedEnsfScheme, ObsOperatorKind};
+use da_core::{AnalysisScheme, EnsfScheme, MaskFill, ObsModel, ObsOperatorKind};
 use ensf::{ArctanObs, EnsfConfig, MaskedObs, ObservationOperator};
 use proptest::prelude::*;
 use stats::gaussian::fill_standard_normal;
@@ -76,7 +76,8 @@ proptest! {
         let mut dense = vec![0.0; dim];
         dense_op.apply(&state, &mut dense);
 
-        let masked_op = MaskedObs::arctan(dim, observed.clone(), 0.1, gain);
+        let arctan = ObsOperatorKind::Arctan { gain };
+        let masked_op = MaskedObs::new(dim, observed.clone(), arctan, 0.1);
         let mut shrunk = vec![0.0; masked_op.obs_dim()];
         masked_op.apply(&state, &mut shrunk);
 
@@ -126,13 +127,12 @@ proptest! {
         let config = EnsfConfig { n_steps: 4, seed: 7, ..Default::default() };
 
         let mut dense = EnsfScheme::new(config.clone(), dim, 0.3);
-        let mut masked = MaskedEnsfScheme::new(
-            config,
-            dim,
-            0.3,
-            ObsOperatorKind::Identity,
-            MaskKind::Full,
-        );
+        // A track as wide as the state observes everything without being
+        // `Full`, so this runs the inpainting completion with every pixel
+        // known.
+        let all_seen = MaskKind::Track { width: dim, speed: 1 };
+        let obs = ObsModel { mask: all_seen, ..ObsModel::identity(0.3) };
+        let mut masked = EnsfScheme::with_obs(config, dim, obs, MaskFill::Inpaint);
         let a = dense.analyze(&forecast, &y);
         let b = masked.analyze(&forecast, &y);
         prop_assert_eq!(a.as_slice(), b.as_slice(), "full-mask inpainting drifted from dense");

@@ -31,9 +31,10 @@
 
 use crate::shard::ShardPlan;
 use crate::DistError;
+use da_core::ObsModel;
 use ensf::{
     relax_spread, AnalysisMethod, ArctanObs, DiffusionSchedule, EnsfConfig, IdentityObs,
-    ObservationOperator, ScoreKernel, TimeGrid,
+    MaskedObs, ObsOperatorKind, ObservationOperator, ScoreKernel, TimeGrid,
 };
 use hpc::mpi::Comm;
 use hpc::{collective_with_retry, Collective, RankFault, RetryPolicy, Topology};
@@ -45,93 +46,41 @@ use stats::gaussian::{fill_standard_normal, NormalSampler};
 use stats::rng::{seeded, split_seed};
 use stats::softmax::softmax_in_place;
 use stats::Ensemble;
+use std::ops::Range;
 
-/// Observation model of the distributed runtime.
+/// Observation slots and operator of the state components `lo..hi` (one
+/// tile) under `obs`, given the mask's observed indices at this cycle
+/// (ignored under a full mask).
 ///
-/// The sharded analysis updates each state block independently, so the
-/// observation operator must restrict cleanly to a contiguous block: the
-/// variants here are exactly the componentwise operators (the paper's SQG
-/// setting uses `h = I`; arctan is the EnSF papers' nonlinear stress
-/// test; [`DistObs::Masked`] composes either base with a partial-network
-/// mask, which is still componentwise — each tile's share of the mask is
-/// a pure function of the *global* tile bounds and the cycle, so the
-/// partition stays rank-layout invariant). Operators that couple state
-/// components across tiles (integrals, convolutions) would need an
-/// observation-space exchange and are out of scope for this runtime.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DistObs {
-    /// Fully observed state, `h = I`, error std `sigma`.
-    Identity {
-        /// Per-component observation error standard deviation.
-        sigma: f64,
-    },
-    /// Componentwise `h(x) = arctan(gain · x)`, error std `sigma`.
-    Arctan {
-        /// Per-component observation error standard deviation.
-        sigma: f64,
-        /// Saturation gain γ of `arctan(γ x)`.
-        gain: f64,
-    },
-    /// Partially observed network: `base` applied at the components `mask`
-    /// leaves visible for the analysis cycle. The observation vector holds
-    /// only the observed components (ascending global index); guidance acts
-    /// only there, and masked components evolve by score-driven diffusion.
-    Masked {
-        /// Per-component observation error standard deviation.
-        sigma: f64,
-        /// Componentwise base operator applied at observed components.
-        base: da_core::ObsOperatorKind,
-        /// Which components the network observes (cycle-indexed).
-        mask: da_core::MaskKind,
-    },
-}
-
-impl DistObs {
-    /// Observation error standard deviation.
-    pub fn sigma(&self) -> f64 {
-        match *self {
-            DistObs::Identity { sigma }
-            | DistObs::Arctan { sigma, .. }
-            | DistObs::Masked { sigma, .. } => sigma,
-        }
+/// The sharded analysis updates each tile independently, which the
+/// componentwise operators allow (operators coupling components across
+/// tiles would need an observation-space exchange and are out of scope
+/// for this runtime). Under a full mask the slots are the components
+/// themselves and the operator is the dense [`IdentityObs`]/[`ArctanObs`]
+/// on the tile, so `h = I` keeps its constant Jacobian. Under a partial
+/// mask the observation vector holds only the observed components
+/// (ascending), so a tile's slots are the contiguous run whose indices fall
+/// in the tile — positioned by a global count, never by the rank layout —
+/// and the operator is a [`MaskedObs`]: guidance acts only at observed
+/// components, masked ones evolve by score-driven diffusion.
+fn tile_operator(
+    obs: &ObsModel,
+    observed: &[usize],
+    lo: usize,
+    hi: usize,
+) -> (Range<usize>, Box<dyn ObservationOperator>) {
+    let ObsModel { sigma, operator, mask } = *obs;
+    if !mask.is_full() {
+        let a = observed.partition_point(|&i| i < lo);
+        let b = observed.partition_point(|&i| i < hi);
+        let local = observed[a..b].iter().map(|&i| i - lo).collect();
+        return (a..b, Box::new(MaskedObs::new(hi - lo, local, operator, sigma)));
     }
-
-    /// Expected observation-vector length for a `dim`-dimensional state at
-    /// analysis cycle `cycle` (masked networks shrink it to the observed
-    /// components).
-    pub fn obs_len(&self, dim: usize, cycle: u64) -> usize {
-        match self {
-            DistObs::Masked { mask, .. } => mask.obs_dim(dim, cycle),
-            _ => dim,
-        }
-    }
-
-    /// The operator restricted to a `len`-component block. Because the
-    /// dense variants are elementwise, the restriction is just the same
-    /// operator on a smaller dimension.
-    ///
-    /// # Panics
-    /// Panics for [`DistObs::Masked`], whose restriction needs the global
-    /// tile bounds (see [`ShardKernel::new`]).
-    pub fn block_operator(&self, len: usize) -> Box<dyn ObservationOperator> {
-        match *self {
-            DistObs::Identity { sigma } => Box::new(IdentityObs::new(len, sigma)),
-            DistObs::Arctan { sigma, gain } => Box::new(ArctanObs::with_gain(len, sigma, gain)),
-            DistObs::Masked { .. } => {
-                panic!("masked operators restrict per global tile, not per bare length")
-            }
-        }
-    }
-
-    /// Uniform squared observation Jacobian, if one exists (see
-    /// [`ObservationOperator::constant_jacobian_sq`]). Masked networks have
-    /// a per-component on/off pattern, so they never admit one.
-    pub fn constant_jacobian_sq(&self) -> Option<f64> {
-        match self {
-            DistObs::Identity { .. } => Some(1.0),
-            DistObs::Arctan { .. } | DistObs::Masked { .. } => None,
-        }
-    }
+    let op: Box<dyn ObservationOperator> = match operator {
+        ObsOperatorKind::Identity => Box::new(IdentityObs::new(hi - lo, sigma)),
+        ObsOperatorKind::Arctan { gain } => Box::new(ArctanObs::with_gain(hi - lo, sigma, gain)),
+    };
+    (lo..hi, op)
 }
 
 /// Simulated-network specification for the distributed runtime: the
@@ -241,7 +190,9 @@ pub struct ShardKernel {
     y_tiles: Vec<Vec<f64>>,
     /// Observation operator restricted to each local tile.
     ops: Vec<Box<dyn ObservationOperator>>,
-    obs: DistObs,
+    /// The operators' uniform squared Jacobian, if any: `Some(1.0)` exactly
+    /// for `h = I` under a full mask.
+    constant_jacobian_sq: Option<f64>,
     sigma_obs_sq: f64,
     // Scratch (allocated once; the step loop is allocation-free).
     partials: Vec<f64>,
@@ -285,11 +236,11 @@ impl ShardKernel {
         cycle: u64,
         forecast: &Ensemble,
         y: &[f64],
-        obs: &DistObs,
+        obs: &ObsModel,
     ) -> Self {
         config.validate().expect("invalid EnSF configuration");
         assert_eq!(forecast.dim(), plan.dim(), "forecast dimension mismatch");
-        assert_eq!(y.len(), obs.obs_len(plan.dim(), cycle), "observation length mismatch");
+        assert_eq!(y.len(), obs.mask.obs_dim(plan.dim(), cycle), "observation length mismatch");
         assert!(rank < plan.ranks(), "rank {rank} out of range");
         let members = forecast.members();
         assert!(members > 0, "need at least one forecast member");
@@ -387,43 +338,21 @@ impl ShardKernel {
         // Per-tile observation slices and operators. Both are pure
         // functions of the *global* tile bounds (and, for masked networks,
         // the cycle), so whichever rank owns a tile builds identical bits.
-        let (y_tiles, ops): (Vec<Vec<f64>>, Vec<Box<dyn ObservationOperator>>) = match *obs {
-            DistObs::Masked { sigma, base, mask } => {
-                let observed = mask.observed_indices(plan.dim(), cycle);
-                tiles
-                    .iter()
-                    .map(|tile| {
-                        let lo = rank_lo + tile.off;
-                        let hi = lo + tile.len;
-                        // The mask's observed indices are ascending, so a
-                        // tile's share of the observation vector is the
-                        // contiguous run of entries whose index falls in
-                        // the tile — positioned by a global count, never
-                        // by the rank layout.
-                        let a = observed.partition_point(|&i| i < lo);
-                        let b = observed.partition_point(|&i| i < hi);
-                        let local: Vec<usize> = observed[a..b].iter().map(|&i| i - lo).collect();
-                        let op: Box<dyn ObservationOperator> = match base {
-                            da_core::ObsOperatorKind::Identity => {
-                                Box::new(ensf::MaskedObs::identity(tile.len, local, sigma))
-                            }
-                            da_core::ObsOperatorKind::Arctan { gain } => {
-                                Box::new(ensf::MaskedObs::arctan(tile.len, local, sigma, gain))
-                            }
-                        };
-                        (y[a..b].to_vec(), op)
-                    })
-                    .unzip()
-            }
-            _ => tiles
-                .iter()
-                .map(|tile| {
-                    let lo = rank_lo + tile.off;
-                    (y[lo..lo + tile.len].to_vec(), obs.block_operator(tile.len))
-                })
-                .unzip(),
+        let observed = if obs.mask.is_full() {
+            Vec::new()
+        } else {
+            obs.mask.observed_indices(plan.dim(), cycle)
         };
-        let sigma = obs.sigma();
+        let (y_tiles, ops): (Vec<Vec<f64>>, Vec<Box<dyn ObservationOperator>>) = tiles
+            .iter()
+            .map(|tile| {
+                let lo = rank_lo + tile.off;
+                let (slots, op) = tile_operator(obs, &observed, lo, lo + tile.len);
+                (y[slots].to_vec(), op)
+            })
+            .unzip();
+        let constant_jacobian_sq = ops.first().and_then(|op| op.constant_jacobian_sq());
+        let sigma = obs.sigma;
 
         ShardKernel {
             n_tiles: plan.n_tiles(),
@@ -444,7 +373,7 @@ impl ShardKernel {
             sampler: NormalSampler::new(),
             y_tiles,
             ops,
-            obs: *obs,
+            constant_jacobian_sq,
             sigma_obs_sq: sigma * sigma,
             partials: vec![0.0; n_local * members * batch_len],
             weights: vec![0.0; members * batch_len],
@@ -582,7 +511,7 @@ impl ShardKernel {
         // Constant-Jacobian operators admit one damping factor per step
         // (same arithmetic as the per-element branch, so the two paths
         // agree bitwise for such operators).
-        let hoisted_factor = self.obs.constant_jacobian_sq().map(|jc| {
+        let hoisted_factor = self.constant_jacobian_sq.map(|jc| {
             let c = gain * jc / self.sigma_obs_sq;
             if c > 1e-8 {
                 (1.0 - (-c).exp()) / c
@@ -785,7 +714,7 @@ pub fn dist_analyze(
     cycle: u64,
     forecast: &Ensemble,
     y: &[f64],
-    obs: &DistObs,
+    obs: &ObsModel,
     spec: Option<&CommSpec>,
     stats: &mut CommStats,
 ) -> Result<Vec<f64>, DistError> {
@@ -837,7 +766,7 @@ mod tests {
         let dim = 96;
         let forecast = gaussian_ensemble(6, dim, 11);
         let y = vec![0.25; dim];
-        let obs = DistObs::Identity { sigma: 0.4 };
+        let obs = ObsModel::identity(0.4);
         let config = EnsfConfig { n_steps: 12, seed: 9, minibatch, kernel, ..Default::default() };
         let plan = ShardPlan::new(dim, tile, ranks);
         let blocks = run_world(ranks, |comm| {
@@ -895,7 +824,7 @@ mod tests {
         let members = 40;
         let forecast = gaussian_ensemble(members, dim, 3);
         let y = vec![2.0; dim];
-        let obs = DistObs::Identity { sigma: 0.3 };
+        let obs = ObsModel::identity(0.3);
         let config = EnsfConfig { n_steps: 50, seed: 4, ..Default::default() };
         let plan = ShardPlan::new(dim, 4, 2);
         let blocks = run_world(2, |comm| {
@@ -930,7 +859,8 @@ mod tests {
         let dim = 48;
         let forecast = gaussian_ensemble(5, dim, 21);
         let y = vec![0.3; dim];
-        let obs = DistObs::Arctan { sigma: 0.3, gain: 1.0 };
+        let obs =
+            ObsModel { operator: ObsOperatorKind::Arctan { gain: 1.0 }, ..ObsModel::identity(0.3) };
         let config = EnsfConfig { n_steps: 10, seed: 2, ..Default::default() };
         let run = |ranks: usize| {
             let plan = ShardPlan::new(dim, 8, ranks);
@@ -961,7 +891,7 @@ mod tests {
         let dim = 96;
         let forecast = gaussian_ensemble(6, dim, 11);
         let y = vec![0.25; dim];
-        let obs = DistObs::Identity { sigma: 0.4 };
+        let obs = ObsModel::identity(0.4);
         let config = EnsfConfig {
             n_steps,
             seed: 9,
@@ -1012,7 +942,7 @@ mod tests {
         let dim = 96;
         let forecast = gaussian_ensemble(6, dim, 13);
         let y = vec![0.25; dim];
-        let obs = DistObs::Identity { sigma: 0.4 };
+        let obs = ObsModel::identity(0.4);
         let config = EnsfConfig {
             n_steps: 5,
             seed: 9,
@@ -1054,7 +984,7 @@ mod tests {
         let members = 40;
         let forecast = gaussian_ensemble(members, dim, 3);
         let y = vec![2.0; dim];
-        let obs = DistObs::Identity { sigma: 0.3 };
+        let obs = ObsModel::identity(0.3);
         let config = EnsfConfig {
             n_steps: 6,
             seed: 4,
@@ -1092,7 +1022,8 @@ mod tests {
         let dim = 48;
         let forecast = gaussian_ensemble(5, dim, 21);
         let y = vec![0.3; dim];
-        let obs = DistObs::Arctan { sigma: 0.3, gain: 1.0 };
+        let obs =
+            ObsModel { operator: ObsOperatorKind::Arctan { gain: 1.0 }, ..ObsModel::identity(0.3) };
         let config = EnsfConfig {
             n_steps: 8,
             seed: 2,
@@ -1129,13 +1060,9 @@ mod tests {
         let dim = 96;
         let members = 6;
         let forecast = gaussian_ensemble(members, dim, 11);
-        let obs = DistObs::Masked {
-            sigma: 0.05,
-            base: da_core::ObsOperatorKind::Identity,
-            mask,
-        };
+        let obs = ObsModel { mask, ..ObsModel::identity(0.05) };
         // Shrunk observation vector: one value per observed component.
-        let y: Vec<f64> = (0..obs.obs_len(dim, cycle)).map(|k| 0.25 + 0.001 * k as f64).collect();
+        let y: Vec<f64> = (0..mask.obs_dim(dim, cycle)).map(|k| 0.25 + 0.001 * k as f64).collect();
         let config = EnsfConfig {
             n_steps: 20,
             seed: 9,
@@ -1240,7 +1167,7 @@ mod tests {
         let dim = 32;
         let forecast = gaussian_ensemble(4, dim, 7);
         let y = vec![0.0; dim];
-        let obs = DistObs::Identity { sigma: 1.0 };
+        let obs = ObsModel::identity(1.0);
         let config = EnsfConfig { n_steps: 5, seed: 1, ..Default::default() };
         let plan = ShardPlan::new(dim, 8, 2);
         let spec = CommSpec {
@@ -1263,7 +1190,7 @@ mod tests {
         let dim = 32;
         let forecast = gaussian_ensemble(4, dim, 7);
         let y = vec![0.0; dim];
-        let obs = DistObs::Identity { sigma: 1.0 };
+        let obs = ObsModel::identity(1.0);
         let config = EnsfConfig { n_steps: 5, seed: 1, ..Default::default() };
         let plan = ShardPlan::new(dim, 8, 2);
         let spec = CommSpec::clean(2);

@@ -14,13 +14,11 @@
 //! computed redundantly on every rank from the reassembled ensemble, which
 //! keeps them trivially consistent.
 
-use crate::analysis::{dist_analyze, model_collective, CommSpec, CommStats, DistObs};
+use crate::analysis::{dist_analyze, model_collective, CommSpec, CommStats};
 use crate::shard::ShardPlan;
 use crate::DistError;
-use da_core::osse::{
-    initial_ensemble, nature_run, CycleSeries, NatureRun, ObsOperatorKind, OsseConfig,
-};
-use da_core::{ForecastModel, SqgForecast};
+use da_core::osse::{initial_ensemble, nature_run, CycleSeries, NatureRun, OsseConfig};
+use da_core::{ForecastModel, ObsModel, SqgForecast};
 use ensf::parallel::RankPlan;
 use ensf::EnsfConfig;
 use hpc::mpi::{run_world, Comm};
@@ -60,24 +58,11 @@ impl Default for DistCycleConfig {
     }
 }
 
-/// The distributed observation model matching an OSSE configuration: the
-/// nature run synthesizes observations through `osse.obs_operator` (shrunk
-/// to `osse.obs_mask`'s observed components when the network is partial),
-/// so the analysis must assimilate through the same operator and mask.
-/// Full masks map to the dense variants so the pre-existing paths stay
-/// bitwise untouched.
-pub fn dist_obs_for(osse: &OsseConfig) -> DistObs {
-    if !osse.obs_mask.is_full() {
-        return DistObs::Masked {
-            sigma: osse.obs_sigma,
-            base: osse.obs_operator,
-            mask: osse.obs_mask,
-        };
-    }
-    match osse.obs_operator {
-        ObsOperatorKind::Identity => DistObs::Identity { sigma: osse.obs_sigma },
-        ObsOperatorKind::Arctan { gain } => DistObs::Arctan { sigma: osse.obs_sigma, gain },
-    }
+/// The observation model the sharded analysis assimilates through: the
+/// nature run's own ([`OsseConfig::obs_model`]), whose observations are
+/// shrunk to the mask's observed components when the network is partial.
+pub fn dist_obs_for(osse: &OsseConfig) -> ObsModel {
+    osse.obs_model()
 }
 
 /// Forecasts this rank's block of members, then allgathers the blocks so

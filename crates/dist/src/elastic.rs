@@ -41,7 +41,7 @@
 //! `(cycle, membership, scripts, config)`, replicated on every rank, so
 //! the degraded trajectory remains bitwise reproducible.
 
-use crate::analysis::{model_collective, CommStats, DistObs};
+use crate::analysis::{model_collective, CommStats};
 use crate::cycle::{dist_obs_for, forecast_members, DistCycleConfig};
 use crate::shard::ShardPlan;
 use crate::DistError;
@@ -248,7 +248,7 @@ fn elastic_analyze(
     cycle: u64,
     forecast: &Ensemble,
     y: &[f64],
-    obs: &DistObs,
+    obs: &da_core::ObsModel,
     spec: Option<&crate::CommSpec>,
     stats: &mut CommStats,
     kill_after: Option<usize>,

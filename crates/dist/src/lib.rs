@@ -68,7 +68,7 @@ pub mod elastic;
 pub mod shard;
 pub mod timeline;
 
-pub use analysis::{dist_analyze, CommSpec, CommStats, DistObs, ShardKernel};
+pub use analysis::{dist_analyze, CommSpec, CommStats, ShardKernel};
 pub use bench::{measure_analysis, ScalingMeasurement};
 pub use cycle::{
     dist_obs_for, forecast_members, run_dist_experiment, run_osse, DistCycleConfig, DistRunResult,

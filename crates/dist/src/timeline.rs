@@ -17,7 +17,7 @@
 //! shape — the `trace_report` bin asserts this. The forecast and block
 //! gathers are kept in their own fields for that reason.
 
-use crate::analysis::{CommSpec, DistObs, ShardKernel};
+use crate::analysis::{CommSpec, ShardKernel};
 use crate::shard::ShardPlan;
 use da_core::{ForecastModel, SqgForecast};
 use ensf::parallel::RankPlan;
@@ -180,7 +180,7 @@ pub fn trace_timeline(spec: &TimelineSpec) -> TimelineResult {
         fill_standard_normal(&mut rng, ensemble.member_mut(m));
     }
     let y = vec![0.1; spec.dim];
-    let obs = DistObs::Identity { sigma: 0.3 };
+    let obs = da_core::ObsModel::identity(0.3);
     let plan = ShardPlan::new(spec.dim, spec.tile, spec.ranks);
     let comm = CommSpec::clean(spec.ranks);
     let comm_lane = spec.ranks;

@@ -26,6 +26,12 @@
 //!    reaching SDE-level accuracy in ~5–10 steps. Selected per config via
 //!    [`EnsfConfig::method`] = [`AnalysisMethod::FlowMatching`].
 //!
+//! Observations enter through an [`ObservationOperator`]. The
+//! componentwise maps are named by [`ObsOperatorKind`] (`h = I` or the
+//! saturating `arctan(γ x)`): [`IdentityObs`] and [`ArctanObs`] observe
+//! every component, and [`MaskedObs`] applies either map at an explicit
+//! subset of components (sparse networks, outages, moving tracks).
+//!
 //! ```
 //! use ensf::{Ensf, EnsfConfig, IdentityObs};
 //! use stats::Ensemble;
@@ -61,7 +67,7 @@ pub use flow::{
     batch_variance, probability_flow_assimilate, probability_flow_assimilate_batched,
     probability_flow_assimilate_batched_with_times, smooth_variance,
 };
-pub use obs::{ArctanObs, CubicObs, IdentityObs, MaskedBase, MaskedObs, ObservationOperator, StridedObs};
+pub use obs::{ArctanObs, IdentityObs, MaskedObs, ObsOperatorKind, ObservationOperator};
 pub use schedule::{Damping, DiffusionSchedule};
 pub use score::ScoreEstimator;
 pub use sde::{reverse_sde_assimilate, reverse_sde_euler, reverse_sde_stiff, reverse_sde_with_grid, TimeGrid};

@@ -112,53 +112,6 @@ impl ObservationOperator for IdentityObs {
     }
 }
 
-/// Observes every `stride`-th state component (sparse network).
-#[derive(Debug, Clone)]
-pub struct StridedObs {
-    state_dim: usize,
-    stride: usize,
-    sigma: f64,
-}
-
-impl StridedObs {
-    /// Observes components `0, stride, 2·stride, …` of a `state_dim` state.
-    pub fn new(state_dim: usize, stride: usize, sigma: f64) -> Self {
-        assert!(stride >= 1 && sigma > 0.0);
-        StridedObs { state_dim, stride, sigma }
-    }
-}
-
-impl ObservationOperator for StridedObs {
-    fn obs_dim(&self) -> usize {
-        self.state_dim.div_ceil(self.stride)
-    }
-
-    fn jacobian_sq(&self, _state: &[f64], out: &mut [f64]) {
-        out.fill(0.0);
-        for slot in out.iter_mut().step_by(self.stride) {
-            *slot = 1.0;
-        }
-    }
-
-    fn apply(&self, state: &[f64], out: &mut [f64]) {
-        for (o, chunk) in out.iter_mut().zip(state.iter().step_by(self.stride)) {
-            *o = *chunk;
-        }
-    }
-
-    fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
-    fn add_likelihood_score(&self, state: &[f64], y: &[f64], weight: f64, score_out: &mut [f64]) {
-        let w = weight / (self.sigma * self.sigma);
-        for (k, yi) in y.iter().enumerate() {
-            let idx = k * self.stride;
-            score_out[idx] += w * (yi - state[idx]);
-        }
-    }
-}
-
 /// Nonlinear observation `h(x) = arctan(γ x)` componentwise — the stress
 /// test used in the EnSF papers to demonstrate non-Gaussian DA. The gain γ
 /// controls how hard the saturation bites: with γ |x| ≫ 1 the Jacobian
@@ -216,65 +169,40 @@ impl ObservationOperator for ArctanObs {
     }
 }
 
-/// Nonlinear observation `h(x) = x³ / scale` componentwise: strongly
-/// nonlinear yet informative at large amplitudes (the complement of
-/// arctan's saturation).
-#[derive(Debug, Clone)]
-pub struct CubicObs {
-    dim: usize,
-    sigma: f64,
-    scale: f64,
-}
-
-impl CubicObs {
-    /// Componentwise `x³ / scale` observation with error `sigma`.
-    pub fn new(dim: usize, sigma: f64, scale: f64) -> Self {
-        assert!(sigma > 0.0 && scale > 0.0);
-        CubicObs { dim, sigma, scale }
-    }
-}
-
-impl ObservationOperator for CubicObs {
-    fn obs_dim(&self) -> usize {
-        self.dim
-    }
-
-    fn jacobian_sq(&self, state: &[f64], out: &mut [f64]) {
-        for (o, x) in out.iter_mut().zip(state) {
-            let j = 3.0 * x * x / self.scale;
-            *o = j * j;
-        }
-    }
-
-    fn apply(&self, state: &[f64], out: &mut [f64]) {
-        for (o, x) in out.iter_mut().zip(state) {
-            *o = x * x * x / self.scale;
-        }
-    }
-
-    fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
-    fn add_likelihood_score(&self, state: &[f64], y: &[f64], weight: f64, score_out: &mut [f64]) {
-        let w = weight / (self.sigma * self.sigma);
-        for ((s, x), yi) in score_out.iter_mut().zip(state).zip(y) {
-            *s += w * (yi - x * x * x / self.scale) * 3.0 * x * x / self.scale;
-        }
-    }
-}
-
-/// The componentwise base map a masked observing network sees through.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MaskedBase {
-    /// Direct observation `h(x) = x` at each observed component.
+/// The componentwise observation map `h` of an observing network:
+/// applied to the truth when observations are generated, and by the
+/// analysis schemes and diagnostics when comparing states against
+/// observations.
+///
+/// `Identity` is the paper's baseline `h = I`; `Arctan` is the EnSF
+/// papers' saturating stress operator `h(x) = arctan(γ x)`. A partial
+/// network applies the same map at the components its mask leaves
+/// visible ([`MaskedObs`]).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub enum ObsOperatorKind {
+    /// Direct observation of every state component (`h = I`).
+    #[default]
     Identity,
-    /// Saturating observation `h(x) = arctan(gain · x)` at each observed
-    /// component (the EnSF papers' nonlinear stress operator).
+    /// Componentwise saturating observation `h(x) = arctan(gain · x)`.
     Arctan {
-        /// Saturation gain γ (> 0).
+        /// Saturation gain γ (> 0): larger values bite harder.
         gain: f64,
     },
+}
+
+impl ObsOperatorKind {
+    /// Applies `h` to one state component.
+    pub fn h(self, v: f64) -> f64 {
+        match self {
+            ObsOperatorKind::Identity => v,
+            ObsOperatorKind::Arctan { gain } => (gain * v).atan(),
+        }
+    }
+
+    /// Maps a full state into observation space.
+    pub fn apply(self, state: &[f64]) -> Vec<f64> {
+        state.iter().map(|&v| self.h(v)).collect()
+    }
 }
 
 /// Partial observation of an explicit set of state components — the
@@ -288,32 +216,23 @@ pub enum MaskedBase {
 /// special-casing in the integrators themselves.
 #[derive(Debug, Clone)]
 pub struct MaskedObs {
-    state_dim: usize,
     observed: Vec<usize>,
-    base: MaskedBase,
+    base: ObsOperatorKind,
     sigma: f64,
 }
 
 impl MaskedObs {
-    /// Direct (identity-base) partial observation of the `observed` state
-    /// components (ascending, unique, all `< state_dim`).
+    /// Observes the `observed` components (ascending, unique, all
+    /// `< state_dim`) of a `state_dim` state through `base`.
     ///
     /// # Panics
-    /// Panics unless `sigma > 0` and the index list is strictly ascending
-    /// and in range.
-    pub fn identity(state_dim: usize, observed: Vec<usize>, sigma: f64) -> Self {
-        Self::with_base(state_dim, observed, MaskedBase::Identity, sigma)
-    }
-
-    /// Saturating (`arctan(gain · x)`) partial observation — the composed
-    /// Arctan+mask scenario operator.
-    pub fn arctan(state_dim: usize, observed: Vec<usize>, sigma: f64, gain: f64) -> Self {
-        assert!(gain > 0.0, "arctan gain must be positive");
-        Self::with_base(state_dim, observed, MaskedBase::Arctan { gain }, sigma)
-    }
-
-    fn with_base(state_dim: usize, observed: Vec<usize>, base: MaskedBase, sigma: f64) -> Self {
+    /// Panics unless `sigma > 0`, an arctan gain is positive, and the index
+    /// list is strictly ascending and in range.
+    pub fn new(state_dim: usize, observed: Vec<usize>, base: ObsOperatorKind, sigma: f64) -> Self {
         assert!(sigma > 0.0, "observation error must be positive");
+        if let ObsOperatorKind::Arctan { gain } = base {
+            assert!(gain > 0.0, "arctan gain must be positive");
+        }
         assert!(
             observed.windows(2).all(|w| w[0] < w[1]),
             "observed indices must be strictly ascending"
@@ -321,17 +240,7 @@ impl MaskedObs {
         if let Some(&last) = observed.last() {
             assert!(last < state_dim, "observed index {last} out of range {state_dim}");
         }
-        MaskedObs { state_dim, observed, base, sigma }
-    }
-
-    /// The observed state indices (ascending).
-    pub fn observed(&self) -> &[usize] {
-        &self.observed
-    }
-
-    /// Dimension of the underlying state.
-    pub fn state_dim(&self) -> usize {
-        self.state_dim
+        MaskedObs { observed, base, sigma }
     }
 }
 
@@ -341,17 +250,8 @@ impl ObservationOperator for MaskedObs {
     }
 
     fn apply(&self, state: &[f64], out: &mut [f64]) {
-        match self.base {
-            MaskedBase::Identity => {
-                for (o, &i) in out.iter_mut().zip(&self.observed) {
-                    *o = state[i];
-                }
-            }
-            MaskedBase::Arctan { gain } => {
-                for (o, &i) in out.iter_mut().zip(&self.observed) {
-                    *o = (gain * state[i]).atan();
-                }
-            }
+        for (o, &i) in out.iter_mut().zip(&self.observed) {
+            *o = self.base.h(state[i]);
         }
     }
 
@@ -362,12 +262,12 @@ impl ObservationOperator for MaskedObs {
     fn jacobian_sq(&self, state: &[f64], out: &mut [f64]) {
         out.fill(0.0);
         match self.base {
-            MaskedBase::Identity => {
+            ObsOperatorKind::Identity => {
                 for &i in &self.observed {
                     out[i] = 1.0;
                 }
             }
-            MaskedBase::Arctan { gain } => {
+            ObsOperatorKind::Arctan { gain } => {
                 for &i in &self.observed {
                     let x = state[i];
                     let j = gain / (1.0 + (gain * x) * (gain * x));
@@ -382,12 +282,12 @@ impl ObservationOperator for MaskedObs {
         // full mask reproduces the dense operators bit-for-bit.
         let w = weight / (self.sigma * self.sigma);
         match self.base {
-            MaskedBase::Identity => {
+            ObsOperatorKind::Identity => {
                 for (&i, yi) in self.observed.iter().zip(y) {
                     score_out[i] += w * (yi - state[i]);
                 }
             }
-            MaskedBase::Arctan { gain } => {
+            ObsOperatorKind::Arctan { gain } => {
                 let g = gain;
                 for (&i, yi) in self.observed.iter().zip(y) {
                     let x = state[i];
@@ -415,6 +315,11 @@ mod tests {
             g[i] = (lp - lm) / (2.0 * h);
         }
         g
+    }
+
+    /// A sparse network observing components `0, stride, 2·stride, …`.
+    fn strided(dim: usize, stride: usize, sigma: f64) -> MaskedObs {
+        MaskedObs::new(dim, (0..dim).step_by(stride).collect(), ObsOperatorKind::Identity, sigma)
     }
 
     #[test]
@@ -446,7 +351,7 @@ mod tests {
 
     #[test]
     fn strided_obs_picks_components() {
-        let op = StridedObs::new(6, 2, 1.0);
+        let op = strided(6, 2, 1.0);
         assert_eq!(op.obs_dim(), 3);
         let mut out = vec![0.0; 3];
         op.apply(&[10.0, 11.0, 12.0, 13.0, 14.0, 15.0], &mut out);
@@ -455,7 +360,7 @@ mod tests {
 
     #[test]
     fn strided_score_only_touches_observed_components() {
-        let op = StridedObs::new(4, 2, 1.0);
+        let op = strided(4, 2, 1.0);
         let x = [1.0, 2.0, 3.0, 4.0];
         let y = [0.0, 0.0];
         let mut s = vec![0.0; 4];
@@ -474,7 +379,7 @@ mod tests {
         let ops: Vec<Box<dyn ObservationOperator>> = vec![
             Box::new(IdentityObs::new(4, 0.7)),
             Box::new(ArctanObs::new(4, 0.3)),
-            Box::new(CubicObs::new(4, 0.5, 10.0)),
+            Box::new(strided(4, 2, 0.5)),
         ];
         for op in &ops {
             let mut via_add = vec![0.0; 4];
@@ -497,9 +402,8 @@ mod tests {
         ident.jacobian_sq(&x, &mut js);
         assert!(js.iter().all(|&j| j == c));
         // Non-uniform / state-dependent operators must opt out.
-        assert!(StridedObs::new(4, 2, 1.0).constant_jacobian_sq().is_none());
+        assert!(strided(4, 2, 1.0).constant_jacobian_sq().is_none());
         assert!(ArctanObs::new(3, 0.3).constant_jacobian_sq().is_none());
-        assert!(CubicObs::new(3, 0.5, 10.0).constant_jacobian_sq().is_none());
     }
 
     #[test]
@@ -513,20 +417,6 @@ mod tests {
         op.add_likelihood_score(&x, &y, 0.5, &mut s2);
         for (a, b) in s1.iter().zip(&s2) {
             assert!((0.5 * a - b).abs() < 1e-14);
-        }
-    }
-
-    #[test]
-    fn cubic_score_matches_finite_difference() {
-        let op = CubicObs::new(3, 0.5, 10.0);
-        let x = [0.3, -2.0, 3.0];
-        let mut y = vec![0.0; 3];
-        op.apply(&[0.2, -1.9, 2.8], &mut y);
-        let mut s = vec![0.0; 3];
-        op.add_likelihood_score(&x, &y, 1.0, &mut s);
-        let fd = finite_diff_score(&op, &x, &y);
-        for (a, b) in s.iter().zip(&fd) {
-            assert!((a - b).abs() < 1e-3 * (1.0 + b.abs()), "{a} vs {b}");
         }
     }
 
@@ -549,7 +439,7 @@ mod tests {
         id.jacobian_sq(&[1.0, 2.0, 3.0], &mut out);
         assert_eq!(out, vec![1.0, 1.0, 1.0]);
 
-        let strided = StridedObs::new(4, 2, 1.0);
+        let strided = strided(4, 2, 1.0);
         let mut out = vec![9.0; 4];
         strided.jacobian_sq(&[0.0; 4], &mut out);
         assert_eq!(out, vec![1.0, 0.0, 1.0, 0.0]);
@@ -590,7 +480,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn strided_zero_sigma_rejected() {
-        let _ = StridedObs::new(4, 2, 0.0);
+        let _ = strided(4, 2, 0.0);
     }
 
     #[test]
@@ -601,7 +491,7 @@ mod tests {
 
     #[test]
     fn masked_identity_score_matches_finite_difference() {
-        let op = MaskedObs::identity(5, vec![0, 2, 4], 0.7);
+        let op = MaskedObs::new(5, vec![0, 2, 4], ObsOperatorKind::Identity, 0.7);
         let x = [0.3, -1.2, 2.0, 0.0, -0.4];
         let y = [0.5, 1.5, -0.1];
         let mut s = vec![0.0; 5];
@@ -616,7 +506,7 @@ mod tests {
 
     #[test]
     fn masked_arctan_score_matches_finite_difference() {
-        let op = MaskedObs::arctan(4, vec![1, 3], 0.5, 3.0);
+        let op = MaskedObs::new(4, vec![1, 3], ObsOperatorKind::Arctan { gain: 3.0 }, 0.5);
         let x = [9.0, 0.3, 9.0, -0.8];
         let mut y = vec![0.0; 2];
         op.apply(&[0.0, 0.2, 0.0, -0.7], &mut y);
@@ -637,7 +527,7 @@ mod tests {
         let x = [1.0, -2.0, 3.0, -0.5, 0.25, 4.0];
         let y = [0.5, 0.25, -0.5, 1.0, 0.0, -1.0];
 
-        let masked = MaskedObs::identity(dim, all.clone(), 0.7);
+        let masked = MaskedObs::new(dim, all.clone(), ObsOperatorKind::Identity, 0.7);
         let dense = IdentityObs::new(dim, 0.7);
         let (mut a, mut b) = (vec![0.0; dim], vec![0.0; dim]);
         masked.add_likelihood_score(&x, &y, 1.3, &mut a);
@@ -646,7 +536,7 @@ mod tests {
             assert_eq!(u.to_bits(), v.to_bits());
         }
 
-        let masked = MaskedObs::arctan(dim, all, 0.7, 40.0);
+        let masked = MaskedObs::new(dim, all, ObsOperatorKind::Arctan { gain: 40.0 }, 0.7);
         let dense = ArctanObs::with_gain(dim, 0.7, 40.0);
         let (mut a, mut b) = (vec![0.0; dim], vec![0.0; dim]);
         masked.add_likelihood_score(&x, &y, 0.9, &mut a);
@@ -658,7 +548,7 @@ mod tests {
 
     #[test]
     fn masked_jacobian_vanishes_off_mask() {
-        let op = MaskedObs::identity(4, vec![1, 2], 1.0);
+        let op = MaskedObs::new(4, vec![1, 2], ObsOperatorKind::Identity, 1.0);
         let mut out = vec![9.0; 4];
         op.jacobian_sq(&[0.0; 4], &mut out);
         assert_eq!(out, vec![0.0, 1.0, 1.0, 0.0]);
@@ -668,18 +558,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "strictly ascending")]
     fn masked_obs_rejects_unsorted_indices() {
-        let _ = MaskedObs::identity(4, vec![2, 1], 1.0);
+        let _ = MaskedObs::new(4, vec![2, 1], ObsOperatorKind::Identity, 1.0);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn masked_obs_rejects_out_of_range_index() {
-        let _ = MaskedObs::identity(4, vec![0, 4], 1.0);
+        let _ = MaskedObs::new(4, vec![0, 4], ObsOperatorKind::Identity, 1.0);
     }
 
     #[test]
     fn strided_obs_with_stride_one_is_the_identity_network() {
-        let dense = StridedObs::new(5, 1, 0.7);
+        let dense = strided(5, 1, 0.7);
         let ident = IdentityObs::new(5, 0.7);
         assert_eq!(dense.obs_dim(), 5);
         let x = [1.0, -2.0, 3.0, -4.0, 5.0];
@@ -687,14 +577,20 @@ mod tests {
         let (mut a, mut b) = (vec![0.0; 5], vec![0.0; 5]);
         dense.add_likelihood_score(&x, &y, 2.0, &mut a);
         ident.add_likelihood_score(&x, &y, 2.0, &mut b);
-        assert_eq!(a, b);
+        for (u, v) in a.iter().zip(&b) {
+            assert_eq!(u.to_bits(), v.to_bits());
+        }
+        let (mut ja, mut jb) = (vec![9.0; 5], vec![9.0; 5]);
+        dense.jacobian_sq(&x, &mut ja);
+        ident.jacobian_sq(&x, &mut jb);
+        assert_eq!(ja, jb);
     }
 
     #[test]
     fn strided_obs_wider_than_state_keeps_one_component() {
         // stride > dim: only component 0 is observed; the score leaves
         // every other component untouched.
-        let op = StridedObs::new(4, 10, 1.0);
+        let op = strided(4, 10, 1.0);
         assert_eq!(op.obs_dim(), 1);
         let mut out = vec![0.0; 1];
         op.apply(&[9.0, 8.0, 7.0, 6.0], &mut out);

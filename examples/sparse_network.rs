@@ -6,20 +6,23 @@
 //! ```
 //!
 //! Operational networks never observe the whole state. This example thins
-//! the OSSE network to every `stride`-th grid point and cycles both filters:
-//! LETKF spreads the sparse information spatially through Gaspari–Cohn
-//! localization, while EnSF's global score update receives it through the
-//! likelihood. Sweeping the coverage shows how each filter's skill decays as
-//! observations are withdrawn.
+//! the OSSE network to every `stride`-th grid point (`MaskKind::Strided`):
+//! the nature run then observes only the comb, and both filters assimilate
+//! the shrunk observation vector through the same observation model. LETKF
+//! spreads the sparse information spatially through Gaspari–Cohn
+//! localization; the inpainting EnSF harmonically fills the innovation
+//! between the comb's teeth and assimilates the completed field through its
+//! global score update. Sweeping the coverage shows how each filter's skill
+//! decays as observations are withdrawn.
 
-use sqg_da::da_core::osse::{nature_run, run_experiment, OsseConfig};
-use sqg_da::da_core::{LetkfScheme, SparseEnsfScheme, SqgForecast};
+use sqg_da::da_core::osse::{nature_run, run_experiment, MaskKind, OsseConfig};
+use sqg_da::da_core::{EnsfScheme, LetkfScheme, MaskFill, SqgForecast};
 use sqg_da::ensf::EnsfConfig;
 use sqg_da::letkf::LetkfConfig;
 use sqg_da::sqg::SqgParams;
 
 fn main() {
-    let cfg = OsseConfig {
+    let base = OsseConfig {
         params: SqgParams { n: 16, ekman: 0.05, ..Default::default() },
         cycles: 15,
         obs_sigma: 0.005,
@@ -29,31 +32,35 @@ fn main() {
         seed: 404,
         ..Default::default()
     };
-    let nature = nature_run(&cfg);
-    println!("grid 16x16x2, obs sigma {}, climatology {:.3}\n", cfg.obs_sigma, nature.climatology_sd);
+    // The truth does not depend on the network, so neither does its
+    // climatology.
+    let climatology = nature_run(&base).climatology_sd;
+    println!("grid 16x16x2, obs sigma {}, climatology {climatology:.3}\n", base.obs_sigma);
     println!(
         "{:>8} {:>10} {:>14} {:>14}",
         "stride", "coverage", "LETKF RMSE", "EnSF RMSE"
     );
 
     for stride in [1usize, 2, 4, 8] {
+        let cfg = OsseConfig { obs_mask: MaskKind::Strided { stride, phase: 0 }, ..base.clone() };
+        let nature = nature_run(&cfg);
+
         let mut letkf_model = SqgForecast::perfect(cfg.params.clone());
-        let mut letkf_scheme = LetkfScheme::with_stride(
+        let mut letkf_scheme = LetkfScheme::with_obs(
             LetkfConfig { cutoff: 4.0e6, rtps_alpha: 0.3 },
             &cfg.params,
-            cfg.obs_sigma,
-            stride,
+            cfg.obs_model(),
         );
         let letkf =
             run_experiment("letkf", &cfg, &nature, &mut letkf_model, &mut letkf_scheme)
                 .expect("sparse-network OSSE is well-formed");
 
         let mut ensf_model = SqgForecast::perfect(cfg.params.clone());
-        let mut ensf_scheme = SparseEnsfScheme::new(
+        let mut ensf_scheme = EnsfScheme::with_obs(
             EnsfConfig { n_steps: 25, seed: 7, spread_relaxation: 0.9, ..Default::default() },
             cfg.params.state_dim(),
-            stride,
-            cfg.obs_sigma,
+            cfg.obs_model(),
+            MaskFill::Inpaint,
         );
         let ensf = run_experiment("ensf", &cfg, &nature, &mut ensf_model, &mut ensf_scheme)
             .expect("sparse-network OSSE is well-formed");
@@ -68,7 +75,8 @@ fn main() {
     }
 
     println!("\nreading: both filters beat the climatological error at every");
-    println!("coverage; LETKF's localization makes it graceful under thinning,");
-    println!("while EnSF (global update, no localization) needs denser coverage —");
-    println!("the complementarity behind the paper's 'no tuning needed' trade-off.");
+    println!("coverage. LETKF's localization leads from full coverage down to");
+    println!("25 %; at 12 % its error jumps by an order of magnitude, while the");
+    println!("inpainting EnSF, which fills the innovation across every gap of the");
+    println!("comb, barely moves from 25 % to 12 % and ends well ahead.");
 }

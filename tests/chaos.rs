@@ -12,10 +12,8 @@ use sqg_da::da_core::resilience::{
     CheckpointError, FaultPlan, HealthPolicy, LoopState, MemberFault, MemberFaultKind,
     ObsFault, ResilienceConfig,
 };
-use sqg_da::da_core::{
-    EnsfScheme, FlowMatchingEnsfScheme, LetkfScheme, NoAssimilation, SqgForecast,
-};
-use sqg_da::ensf::EnsfConfig;
+use sqg_da::da_core::{EnsfScheme, LetkfScheme, NoAssimilation, SqgForecast};
+use sqg_da::ensf::{AnalysisMethod, EnsfConfig};
 use sqg_da::letkf::LetkfConfig;
 use sqg_da::sqg::SqgParams;
 
@@ -171,8 +169,13 @@ fn flow_matching_chaos_run_retries_and_falls_back() {
     };
 
     let mut model = SqgForecast::perfect(cfg.params.clone());
-    let mut scheme = FlowMatchingEnsfScheme::new(
-        EnsfConfig { n_steps: 8, seed: cfg.seed ^ 0xE45F, ..Default::default() },
+    let mut scheme = EnsfScheme::new(
+        EnsfConfig {
+            n_steps: 8,
+            seed: cfg.seed ^ 0xE45F,
+            method: AnalysisMethod::FlowMatching,
+            ..Default::default()
+        },
         dim,
         cfg.obs_sigma,
     );

@@ -20,9 +20,7 @@
 
 use sqg_da::da_core::osse::{initial_ensemble, nature_run, MaskKind, ObsOperatorKind, OsseConfig};
 use sqg_da::da_core::{
-    AnalysisScheme, ArctanEnsfScheme, EnsfScheme, FlowMatchingArctanEnsfScheme,
-    FlowMatchingEnsfScheme, ForecastModel, LetkfScheme, MaskedEnsfScheme, MaskedLetkfScheme,
-    SqgForecast,
+    AnalysisScheme, EnsfScheme, ForecastModel, LetkfScheme, MaskFill, SqgForecast,
 };
 use sqg_da::ensf::{AnalysisMethod, EnsfConfig};
 use sqg_da::letkf::LetkfConfig;
@@ -235,11 +233,11 @@ fn letkf_trajectory_matches_golden() {
 fn ensf_arctan_trajectory_matches_golden() {
     pin_scalar_simd();
     let config = arctan_config();
-    let mut scheme = ArctanEnsfScheme::new(
+    let mut scheme = EnsfScheme::with_obs(
         EnsfConfig { n_steps: 10, seed: 5, ..Default::default() },
         config.params.state_dim(),
-        config.obs_sigma,
-        ARCTAN_GAIN,
+        config.obs_model(),
+        MaskFill::Inpaint,
     );
     check_against_golden("ensf_arctan", &run_trajectory(&config, &mut scheme));
 }
@@ -253,8 +251,13 @@ fn ensf_arctan_trajectory_matches_golden() {
 fn flow_trajectory_matches_golden() {
     pin_scalar_simd();
     let config = osse_config();
-    let mut scheme = FlowMatchingEnsfScheme::new(
-        EnsfConfig { n_steps: 6, seed: 5, ..Default::default() },
+    let mut scheme = EnsfScheme::new(
+        EnsfConfig {
+            n_steps: 6,
+            seed: 5,
+            method: AnalysisMethod::FlowMatching,
+            ..Default::default()
+        },
         config.params.state_dim(),
         config.obs_sigma,
     );
@@ -268,11 +271,16 @@ fn flow_trajectory_matches_golden() {
 fn flow_arctan_trajectory_matches_golden() {
     pin_scalar_simd();
     let config = arctan_config();
-    let mut scheme = FlowMatchingArctanEnsfScheme::new(
-        EnsfConfig { n_steps: 6, seed: 5, ..Default::default() },
+    let mut scheme = EnsfScheme::with_obs(
+        EnsfConfig {
+            n_steps: 6,
+            seed: 5,
+            method: AnalysisMethod::FlowMatching,
+            ..Default::default()
+        },
         config.params.state_dim(),
-        config.obs_sigma,
-        ARCTAN_GAIN,
+        config.obs_model(),
+        MaskFill::Inpaint,
     );
     check_against_golden("flow_arctan", &run_trajectory(&config, &mut scheme));
 }
@@ -290,12 +298,11 @@ const BLOCK25: MaskKind = MaskKind::Block { start: 192, len: 128 };
 fn ensf_mask_block_trajectory_matches_golden() {
     pin_scalar_simd();
     let config = OsseConfig { obs_mask: BLOCK25, ..osse_config() };
-    let mut scheme = MaskedEnsfScheme::new(
+    let mut scheme = EnsfScheme::with_obs(
         EnsfConfig { n_steps: 10, seed: 5, ..Default::default() },
         config.params.state_dim(),
-        config.obs_sigma,
-        ObsOperatorKind::Identity,
-        BLOCK25,
+        config.obs_model(),
+        MaskFill::Inpaint,
     );
     check_against_golden("ensf_mask_block", &run_trajectory(&config, &mut scheme));
 }
@@ -308,12 +315,11 @@ fn ensf_track_trajectory_matches_golden() {
     pin_scalar_simd();
     let track = MaskKind::Track { width: 256, speed: 40 };
     let config = OsseConfig { obs_mask: track, ..osse_config() };
-    let mut scheme = MaskedEnsfScheme::new(
+    let mut scheme = EnsfScheme::with_obs(
         EnsfConfig { n_steps: 10, seed: 5, ..Default::default() },
         config.params.state_dim(),
-        config.obs_sigma,
-        ObsOperatorKind::Identity,
-        track,
+        config.obs_model(),
+        MaskFill::Inpaint,
     );
     check_against_golden("ensf_track", &run_trajectory(&config, &mut scheme));
 }
@@ -324,7 +330,7 @@ fn ensf_track_trajectory_matches_golden() {
 fn flow_inpaint_trajectory_matches_golden() {
     pin_scalar_simd();
     let config = OsseConfig { obs_mask: BLOCK25, ..osse_config() };
-    let mut scheme = MaskedEnsfScheme::new(
+    let mut scheme = EnsfScheme::with_obs(
         EnsfConfig {
             n_steps: 6,
             seed: 5,
@@ -332,9 +338,8 @@ fn flow_inpaint_trajectory_matches_golden() {
             ..Default::default()
         },
         config.params.state_dim(),
-        config.obs_sigma,
-        ObsOperatorKind::Identity,
-        BLOCK25,
+        config.obs_model(),
+        MaskFill::Inpaint,
     );
     check_against_golden("flow_inpaint", &run_trajectory(&config, &mut scheme));
 }
@@ -347,7 +352,7 @@ fn letkf_mask_block_trajectory_matches_golden() {
     pin_scalar_simd();
     let config = OsseConfig { obs_mask: BLOCK25, ..osse_config() };
     let mut scheme =
-        MaskedLetkfScheme::new(LetkfConfig::default(), &config.params, config.obs_sigma, BLOCK25);
+        LetkfScheme::with_obs(LetkfConfig::default(), &config.params, config.obs_model());
     check_against_golden("letkf_mask_block", &run_trajectory(&config, &mut scheme));
 }
 
